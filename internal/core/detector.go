@@ -152,6 +152,12 @@ type Detector struct {
 	errCounts []int
 	xsScratch []float64
 	vScratch  []float64
+	// tcrit memoizes trendCandidate's critical value by window count n:
+	// tcrit[n] = StudentTQuantile(1-alpha/(2*Classes), n-2), filled on
+	// first use (0 = not yet computed; the quantile itself is positive).
+	// It depends only on the immutable config, so it survives Reset and
+	// LoadState and stays out of SaveState.
+	tcrit []float64
 	// Checkpoint scratch (state.go): the encoded payload and the framed
 	// snapshot, reused so periodic SaveState calls are allocation-free.
 	stateScratch []byte
@@ -218,6 +224,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 	// slices never grow after construction.
 	d.xsScratch = make([]float64, 0, 4*cfg.TrendWindow)
 	d.vScratch = make([]float64, 0, 4*cfg.TrendWindow)
+	d.tcrit = make([]float64, 4*cfg.TrendWindow+1)
 	d.recorder = make([]DriftSample, flightRecorderDepth)
 	d.monitor = make([]*classMonitor, cfg.Classes)
 	for k := range d.monitor {
@@ -486,8 +493,7 @@ func (d *Detector) trendCandidate(m *classMonitor, r float64) (candidate, escape
 	if se < 1e-9 {
 		se = 1e-9
 	}
-	effAlpha := d.cfg.Alpha / float64(d.cfg.Classes)
-	tcrit := stats.StudentTQuantile(1-effAlpha/2, dfree)
+	tcrit := d.tcritFor(n)
 	jump := math.Abs(r - pred)
 	floor := 0.05 * m.trend.Mean()
 	if floor < 1e-6 {
@@ -496,6 +502,22 @@ func (d *Detector) trendCandidate(m *classMonitor, r float64) (candidate, escape
 	escaped = jump > tcrit*se
 	candidate = escaped && jump > floor
 	return candidate, escaped
+}
+
+// tcritFor returns the two-sided critical t value of the trend test over n
+// window points at the Bonferroni-corrected level, from the tcrit table when
+// n fits it. Only a restored snapshot can carry a window wider than the
+// adaptive clamp the table is sized for; such counts are computed directly.
+func (d *Detector) tcritFor(n int) float64 {
+	if n < len(d.tcrit) && d.tcrit[n] != 0 {
+		return d.tcrit[n]
+	}
+	effAlpha := d.cfg.Alpha / float64(d.cfg.Classes)
+	t := stats.StudentTQuantile(1-effAlpha/2, float64(n-2))
+	if n < len(d.tcrit) {
+		d.tcrit[n] = t
+	}
+	return t
 }
 
 // grangerConfirms runs the first-difference Granger causality test between

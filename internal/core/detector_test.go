@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"rbmim/internal/detectors"
+	"rbmim/internal/stats"
 	"rbmim/internal/stream"
 	"rbmim/internal/synth"
 )
@@ -157,5 +160,112 @@ func TestDetectorHandlesImbalancedStream(t *testing.T) {
 	batches := 15000 / d.Config().BatchSize
 	if len(drifts) > batches/8 {
 		t.Fatalf("imbalanced stationary stream: %d drifts over %d batches", len(drifts), batches)
+	}
+}
+
+// TestTCritTable pins the memoized critical values of the trend test. For
+// every window count the adaptive window can reach, the entry the hot path
+// cached (or the one tcritFor fills) is StudentTQuantile bit for bit; the
+// table survives Reset and LoadState, whose config checks keep it valid;
+// and a warmed detector still runs UpdateBatch allocation-free.
+func TestTCritTable(t *testing.T) {
+	gen, err := synth.NewRBF(synth.Config{Features: 8, Classes: 3, Seed: 9}, 3, 0.07)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 50
+	obs := make([]detectors.Observation, 4000)
+	for i := range obs {
+		in := gen.Next()
+		obs[i] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
+	}
+	states := make([]detectors.State, block)
+
+	cfg := testConfig(8, 3)
+	det, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := det.Config()
+	maxN := 4 * c.TrendWindow
+	if len(det.tcrit) != maxN+1 {
+		t.Fatalf("tcrit table has %d entries, want %d", len(det.tcrit), maxN+1)
+	}
+	effAlpha := c.Alpha / float64(c.Classes)
+	want := func(n int) float64 { return stats.StudentTQuantile(1-effAlpha/2, float64(n-2)) }
+
+	for i := 0; i < 3000; i += block {
+		det.UpdateBatch(obs[i:i+block], states)
+	}
+	filled := 0
+	for n, v := range det.tcrit {
+		if v == 0 {
+			continue
+		}
+		filled++
+		if math.Float64bits(v) != math.Float64bits(want(n)) {
+			t.Fatalf("hot path cached tcrit[%d] = %v, want %v", n, v, want(n))
+		}
+	}
+	if filled == 0 {
+		t.Fatal("no trend test ran; the workload never filled the table")
+	}
+	for n := 5; n <= maxN; n++ {
+		if got := det.tcritFor(n); math.Float64bits(got) != math.Float64bits(want(n)) {
+			t.Fatalf("tcritFor(%d) = %v, want %v", n, got, want(n))
+		}
+	}
+	if got := det.tcritFor(maxN + 3); got != want(maxN+3) || len(det.tcrit) != maxN+1 {
+		t.Fatalf("count beyond the table: tcritFor = %v (want %v), table len %d", got, want(maxN+3), len(det.tcrit))
+	}
+
+	table := append([]float64(nil), det.tcrit...)
+	survives := func(stage string) {
+		t.Helper()
+		for n := range table {
+			if math.Float64bits(det.tcrit[n]) != math.Float64bits(table[n]) {
+				t.Fatalf("after %s: tcrit[%d] = %v, want %v", stage, n, det.tcrit[n], table[n])
+			}
+		}
+	}
+	det.Reset()
+	survives("Reset")
+	donor, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		donor.Update(obs[i])
+	}
+	var buf bytes.Buffer
+	if err := donor.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := det.LoadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	survives("LoadState")
+
+	// ADWIN grows its bucket rows by amortized appends, so the strict
+	// allocation check runs the shipped default (adaptive window off). A
+	// block that consults the Granger test allocates its regression
+	// scratch; on this seeded stream blocks 60-66 consult none.
+	cfg.AdaptiveWindow = false
+	steady, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i += block {
+		steady.UpdateBatch(obs[i:i+block], states)
+	}
+	if steady.tcrit[c.TrendWindow] == 0 {
+		t.Fatal("warm-up never ran the trend test at the full window")
+	}
+	next := 3000
+	if allocs := testing.AllocsPerRun(6, func() {
+		steady.UpdateBatch(obs[next:next+block], states)
+		next += block
+	}); allocs != 0 {
+		t.Fatalf("steady-state UpdateBatch allocates %.1f per call", allocs)
 	}
 }

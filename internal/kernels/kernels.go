@@ -15,6 +15,12 @@
 // splitting one element's accumulation at an exact float64 store/load
 // boundary — both of which leave each element's value bit-identical.
 //
+// The reference for Sigmoid and Softmax calls math.Exp, and math.Exp is
+// itself assembly that takes an FMA branch on AVX+FMA amd64 hosts. The
+// vector Sigmoid reproduces that branch lane by lane, so "the reference"
+// there means math.Exp as the running host computes it; a startup
+// self-check falls back to the scalar loop if the two ever disagree.
+//
 // This contract is what lets core.RBM run its Gibbs layer passes as one
 // blocked product over a whole mini-batch while remaining bit-identical to a
 // per-instance matvec loop (the property-based tests in this package assert
@@ -301,8 +307,27 @@ func Broadcast(dst, row []float64, m int) {
 }
 
 // Sigmoid applies the logistic function element-wise in place, computing
-// exactly 1/(1+exp(-x)) per element.
+// exactly 1/(1+math.Exp(-x)) per element. On AVX2+FMA hosts whole quads run
+// through a four-lane port of math.Exp's own FMA branch; a quad holding a
+// NaN or an |x| > 700, and a tail of fewer than four, take the scalar
+// expression.
 func Sigmoid(dst []float64) {
+	if useSigmoidAVX2 {
+		for {
+			dst = dst[sigmoidAVX2(dst):]
+			if len(dst) < 4 {
+				break
+			}
+			// The vector body stopped at a quad with a lane outside its
+			// range.
+			sigmoidGeneric(dst[:4])
+			dst = dst[4:]
+		}
+	}
+	sigmoidGeneric(dst)
+}
+
+func sigmoidGeneric(dst []float64) {
 	for i, x := range dst {
 		dst[i] = 1 / (1 + math.Exp(-x))
 	}

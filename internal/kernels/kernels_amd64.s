@@ -1,9 +1,11 @@
-// AVX bodies for the hottest kernels. Bit-exactness: only VMULPD / VADDPD /
-// VSUBPD (and their scalar SD forms in the tails) are used — each lane
-// performs the exact IEEE-754 operation of the corresponding scalar Go
-// expression, and no FMA contraction is introduced — so these produce
-// bit-identical results to the pure-Go bodies (asserted by the package's
-// property tests, which run both paths on amd64).
+// AVX bodies for the hottest kernels. Bit-exactness: axpyAVX, gradQuadAVX
+// and matmulRowAVX use only VMULPD / VADDPD / VSUBPD (and their scalar SD
+// forms in the tails) — each lane performs the exact IEEE-754 operation of
+// the corresponding scalar Go expression, and no FMA contraction is
+// introduced. sigmoidAVX2 does use FMA, exactly where its reference
+// math.Exp does (see its comment). All produce bit-identical results to
+// the pure-Go bodies (asserted by the package's property tests, which run
+// both paths on amd64).
 
 #include "textflag.h"
 
@@ -319,5 +321,149 @@ store1:
 	JMP  tail1
 
 rowdone:
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX2FMA() bool
+//
+// CPUID leaf 1: ECX bit 12 = FMA, bit 27 = OSXSAVE, bit 28 = AVX; leaf 7
+// sub-leaf 0: EBX bit 5 = AVX2; XGETBV(0) bits 1-2 = XMM+YMM state enabled
+// by the OS. AVX + FMA with OS-enabled YMM is exactly the condition under
+// which math.Exp takes its FMA branch (math.useFMA), so the sigmoid port
+// below reproduces the branch math.Exp actually runs on this host.
+TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7
+	JL   noavx2fma
+	MOVL $1, AX
+	CPUID
+	ANDL $0x18001000, CX
+	CMPL CX, $0x18001000
+	JNE  noavx2fma
+	MOVL $0, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx2fma
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	ANDL $0x20, BX
+	JZ   noavx2fma
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx2fma:
+	MOVB $0, ret+0(FP)
+	RET
+
+// Constants of math.Exp's amd64 body ($GOROOT/src/math/exp_amd64.s), each
+// replicated across the four lanes of a 32-byte row so it can be used as a
+// memory operand. The literals are spelled exactly as there.
+#define LOG2E 1.4426950408889634073599246810018920 // 1/LN2
+#define LN2U 0.69314718055966295651160180568695068359375 // upper half LN2
+#define LN2L 0.28235290563031577122588448175013436025525412068e-12 // lower half LN2
+
+#define ROW4(off, v) \
+	DATA sigdata<>+off+0(SB)/8, v; \
+	DATA sigdata<>+off+8(SB)/8, v; \
+	DATA sigdata<>+off+16(SB)/8, v; \
+	DATA sigdata<>+off+24(SB)/8, v
+
+ROW4(0, $0x8000000000000000)   // sign bit
+ROW4(32, $0x7FFFFFFFFFFFFFFF)  // magnitude mask
+ROW4(64, $700.0)               // fast-path bound on |x|
+ROW4(96, $LOG2E)
+ROW4(128, $LN2U)
+ROW4(160, $LN2L)
+ROW4(192, $0.0625)
+ROW4(224, $2.4801587301587301587e-5)
+ROW4(256, $1.9841269841269841270e-4)
+ROW4(288, $1.3888888888888888889e-3)
+ROW4(320, $8.3333333333333333333e-3)
+ROW4(352, $4.1666666666666666667e-2)
+ROW4(384, $1.6666666666666666667e-1)
+ROW4(416, $0.5)
+ROW4(448, $1.0)
+ROW4(480, $2.0)
+ROW4(512, $0x3FF)              // exponent bias
+GLOBL sigdata<>(SB), RODATA, $544
+
+// func sigmoidAVX2(dst []float64) int
+//
+// dst[i] = 1/(1+exp(-dst[i])) four lanes at a time, where exp is a lane-wise
+// port of math.Exp's FMA branch: the same constants, the same operations in
+// the same order, each lane rounding exactly as the scalar instruction does
+// (VCVTPD2DQ rounds like CVTSD2SL under the same MXCSR mode; the ldexp step
+// forms 2**k by integer add and shift exactly like ADDL/SHLQ). Lanes with
+// |x| <= 700 never reach math.Exp's overflow, underflow, denormal or
+// non-finite branches, so each lane is bit-identical to the scalar call.
+//
+// Processes whole quads from the front and stops before the first quad that
+// holds a NaN or an |x| > 700, or when fewer than four elements remain.
+// Returns the number of elements done (a multiple of four); the caller
+// finishes the rest with the scalar expression.
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	ANDQ $-4, CX
+	XORQ AX, AX
+
+sigloop:
+	CMPQ AX, CX
+	JGE  sigdone
+	VMOVUPD (DI)(AX*8), Y0
+	// Leave on |x| > 700 or NaN: predicate 6 is NLE_UQ, true when not
+	// |x| <= 700 or unordered.
+	VANDPD    sigdata<>+32(SB), Y0, Y2
+	VCMPPD    $6, sigdata<>+64(SB), Y2, Y2
+	VMOVMSKPD Y2, BX
+	TESTL     BX, BX
+	JNZ       sigdone
+
+	VXORPD     sigdata<>+0(SB), Y0, Y0     // x = -dst
+	VMULPD     sigdata<>+96(SB), Y0, Y1    // LOG2E*x
+	VCVTPD2DQY Y1, X4                      // k = round(LOG2E*x)
+	VCVTDQ2PD  X4, Y3                      // float64(k)
+	VFNMADD231PD sigdata<>+128(SB), Y3, Y0 // x -= k*LN2U (fused)
+	VFNMADD231PD sigdata<>+160(SB), Y3, Y0 // x -= k*LN2L (fused)
+	VMULPD     sigdata<>+192(SB), Y0, Y0   // reduce argument
+
+	// Taylor series evaluation.
+	VMOVUPD     sigdata<>+224(SB), Y1
+	VFMADD213PD sigdata<>+256(SB), Y0, Y1
+	VFMADD213PD sigdata<>+288(SB), Y0, Y1
+	VFMADD213PD sigdata<>+320(SB), Y0, Y1
+	VFMADD213PD sigdata<>+352(SB), Y0, Y1
+	VFMADD213PD sigdata<>+384(SB), Y0, Y1
+	VFMADD213PD sigdata<>+416(SB), Y0, Y1
+	VFMADD213PD sigdata<>+448(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      sigdata<>+480(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      sigdata<>+480(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      sigdata<>+480(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      sigdata<>+480(SB), Y0, Y1
+	VFMADD213PD sigdata<>+448(SB), Y1, Y0
+
+	// Return fr * 2**k.
+	VPMOVSXDQ X4, Y4
+	VPADDQ    sigdata<>+512(SB), Y4, Y4
+	VPSLLQ    $52, Y4, Y4
+	VMULPD    Y4, Y0, Y0
+
+	// 1/(1+exp(-dst)).
+	VADDPD  sigdata<>+448(SB), Y0, Y0
+	VMOVUPD sigdata<>+448(SB), Y1
+	VDIVPD  Y0, Y1, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  sigloop
+
+sigdone:
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

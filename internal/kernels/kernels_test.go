@@ -277,17 +277,56 @@ func TestBroadcastFillsRows(t *testing.T) {
 	}
 }
 
+// sigmoidEdges are the inputs where math.Exp leaves its main path or the
+// logistic result leaves the normal range: signed zeros, infinities, NaN,
+// the vector body's ±700 bound and its neighbours, math.Exp's overflow
+// threshold (709.78) and underflow threshold (745.2), and the inputs below
+// about -708.4 whose result is subnormal.
+var sigmoidEdges = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	700, -700, math.Nextafter(700, 0), math.Nextafter(700, 1000),
+	math.Nextafter(-700, 0), math.Nextafter(-700, -1000),
+	709.78, -709.78, 745.2, -745.2, 708.5, -708.5, -709, -709.5,
+}
+
+// TestSigmoidMatchesNaive pins the dispatched Sigmoid bitwise to the scalar
+// expression 1/(1+math.Exp(-x)) for every tail length 0-9 after whole
+// quads, on normal inputs of several scales with the edge inputs mixed in at
+// random lanes, so quads that fall back to the scalar loop sit between
+// quads that do not.
 func TestSigmoidMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for round := 0; round < propRounds; round++ {
-		n := randDim(rng, 200)
-		dst := randSlice(rng, n)
-		dstRef := append([]float64(nil), dst...)
-		Sigmoid(dst)
-		naiveSigmoid(dstRef)
-		if !sameBits(dst, dstRef) {
-			t.Fatalf("n=%d: Sigmoid diverged from naive", n)
+	subnormal := []float64{-709}
+	Sigmoid(subnormal)
+	if subnormal[0] == 0 || subnormal[0] >= 0x1p-1022 {
+		t.Fatalf("Sigmoid(-709) = %v, want a subnormal edge input", subnormal[0])
+	}
+	rng := rand.New(rand.NewSource(21))
+	scales := []float64{1, 8, 100, 400}
+	for tail := 0; tail <= 9; tail++ {
+		for round := 0; round < propRounds; round++ {
+			n := 4*rng.Intn(12) + tail
+			dst := make([]float64, n)
+			for i := range dst {
+				if rng.Intn(8) == 0 {
+					dst[i] = sigmoidEdges[rng.Intn(len(sigmoidEdges))]
+				} else {
+					dst[i] = scales[rng.Intn(len(scales))] * rng.NormFloat64()
+				}
+			}
+			dstRef := append([]float64(nil), dst...)
+			Sigmoid(dst)
+			naiveSigmoid(dstRef)
+			if !sameBits(dst, dstRef) {
+				t.Fatalf("tail=%d n=%d: Sigmoid diverged from 1/(1+math.Exp(-x))\ngot  %v\nwant %v", tail, n, dst, dstRef)
+			}
 		}
+	}
+	edges := append([]float64(nil), sigmoidEdges...)
+	want := append([]float64(nil), edges...)
+	Sigmoid(edges)
+	naiveSigmoid(want)
+	if !sameBits(edges, want) {
+		t.Fatalf("Sigmoid diverged on the edge inputs\ngot  %v\nwant %v", edges, want)
 	}
 }
 
@@ -312,7 +351,7 @@ func TestSoftmaxMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestSIMDAndGenericPathsAgree reruns the two dispatched kernels with the
+// TestSIMDAndGenericPathsAgree reruns the dispatched kernels with the
 // assembly path disabled and asserts bitwise agreement with the enabled
 // path over random shapes (on platforms without assembly both runs take the
 // generic path and the test is a tautology). The main property tests cover
@@ -321,7 +360,8 @@ func TestSIMDAndGenericPathsAgree(t *testing.T) {
 	if !useAVX {
 		t.Skip("no SIMD path on this host; generic path already covered")
 	}
-	defer func() { useAVX = true }()
+	sigAVX2 := useSigmoidAVX2
+	defer func() { useAVX, useSigmoidAVX2 = true, sigAVX2 }()
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < propRounds; round++ {
 		n := randDim(rng, 200)
@@ -361,6 +401,23 @@ func TestSIMDAndGenericPathsAgree(t *testing.T) {
 		AccumRankK(g, w, xm, vm, p, q, m, rows, cols)
 		if !sameBits(g, gSIMD) {
 			t.Fatalf("m=%d rows=%d cols=%d: AccumRankK SIMD and generic paths disagree", m, rows, cols)
+		}
+
+		if !sigAVX2 {
+			continue
+		}
+		sn := randDim(rng, 200)
+		sg := make([]float64, sn)
+		for i := range sg {
+			sg[i] = 20 * rng.NormFloat64()
+		}
+		sgSIMD := append([]float64(nil), sg...)
+		useSigmoidAVX2 = true
+		Sigmoid(sgSIMD)
+		useSigmoidAVX2 = false
+		Sigmoid(sg)
+		if !sameBits(sg, sgSIMD) {
+			t.Fatalf("n=%d: Sigmoid SIMD and generic paths disagree", sn)
 		}
 	}
 }

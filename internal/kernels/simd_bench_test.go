@@ -46,3 +46,23 @@ func BenchmarkGrad20x40AVX(b *testing.B) { benchGradMode(b, 20, 40, true) }
 func BenchmarkGrad20x40Gen(b *testing.B) { benchGradMode(b, 20, 40, false) }
 func BenchmarkGrad40x5AVX(b *testing.B)  { benchGradMode(b, 40, 5, true) }
 func BenchmarkGrad40x5Gen(b *testing.B)  { benchGradMode(b, 40, 5, false) }
+
+func benchSigmoidMode(b *testing.B, n int, avx bool) {
+	old := useSigmoidAVX2
+	useSigmoidAVX2 = avx && old
+	defer func() { useSigmoidAVX2 = old }()
+	rng := rand.New(rand.NewSource(1))
+	dst := randSlice(rng, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Sigmoid(dst)
+	}
+}
+
+// The 40-wide rows are one hidden-layer activation (H = 40); 2560 is a
+// 64-instance mini-batch of them, the shape the batch-major Gibbs pass
+// hands Sigmoid.
+func BenchmarkSigmoid40AVX(b *testing.B)   { benchSigmoidMode(b, 40, true) }
+func BenchmarkSigmoid40Gen(b *testing.B)   { benchSigmoidMode(b, 40, false) }
+func BenchmarkSigmoid2560AVX(b *testing.B) { benchSigmoidMode(b, 2560, true) }
+func BenchmarkSigmoid2560Gen(b *testing.B) { benchSigmoidMode(b, 2560, false) }

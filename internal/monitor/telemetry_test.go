@@ -16,14 +16,21 @@ import (
 // telemetry level and returns the ordered (seq, classes) drift trace plus
 // the final snapshot. Everything that feeds a detection decision is seeded,
 // so two runs differing only in level must trace identically.
+//
+// An event's Classes is the union over one UpdateBatch call, so the trace
+// also depends on how the shard groups queued observations into calls —
+// which is timing. The feed therefore goes to one shard in blocks of
+// exactly one mini-batch, each followed by a FlushCheckpoints barrier, so
+// every UpdateBatch call is one whole mini-batch at any telemetry level.
 func driftTrace(t *testing.T, level telemetry.Level) ([]string, Snapshot) {
 	t.Helper()
+	const batchSize = 25
 	m, err := New(Config{
 		Detector: core.Config{
 			Features: 8, Classes: 3, Seed: 11,
-			BatchSize: 25, WarmupBatches: 10, AdaptiveWindow: true,
+			BatchSize: batchSize, WarmupBatches: 10, AdaptiveWindow: true,
 		},
-		Shards:    2,
+		Shards:    1,
 		Telemetry: level,
 	})
 	if err != nil {
@@ -49,9 +56,16 @@ func driftTrace(t *testing.T, level telemetry.Level) ([]string, Snapshot) {
 		t.Fatal(err)
 	}
 	src := stream.NewDriftStream(before, after, stream.Sudden, 6000, 0, 1)
-	for i := 0; i < 12000; i++ {
-		in := src.Next()
-		if err := m.Ingest("feed", detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}); err != nil {
+	block := make([]detectors.Observation, batchSize)
+	for i := 0; i < 12000; i += batchSize {
+		for j := range block {
+			in := src.Next()
+			block[j] = detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
+		}
+		if err := m.IngestBatch("feed", block); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.FlushCheckpoints(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -168,6 +168,11 @@ func TestServerTelemetryStages(t *testing.T) {
 	if err := c.IngestBatch("alpha", obs[1:]); err != nil {
 		t.Fatal(err)
 	}
+	// The ingest replies mean queued, not processed: barrier so the shard
+	// stages (detector_update) have recorded before the snapshot.
+	if err := c.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
 	sn, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +234,11 @@ func TestServerTelemetryOff(t *testing.T) {
 	}, Config{Telemetry: telemetry.Off})
 
 	if err := c.IngestBatch("alpha", testObs(8, 16)); err != nil {
+		t.Fatal(err)
+	}
+	// The ingest reply means queued, not processed: barrier before reading
+	// the processed-observation counter.
+	if err := c.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
 	sn, err := c.Snapshot()
