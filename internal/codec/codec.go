@@ -497,6 +497,12 @@ func ReadFrame(r io.Reader) (kind uint8, payload []byte, err error) {
 	return kind, payload, err
 }
 
+// scanGrowStep is the largest buffer FrameScanner allocates on a frame
+// header's word alone. A longer frame's buffer grows geometrically as its
+// body bytes actually arrive, so frames up to the step keep a single
+// allocation and a corrupt or hostile length costs at most the step.
+const scanGrowStep = 1 << 20
+
 // FrameScanner reads a stream of consecutive frames from r, reusing one
 // internal buffer across frames — the connection-loop primitive of the
 // network protocol, where a steady-state reader must not allocate per frame.
@@ -517,8 +523,9 @@ func NewFrameScanner(r io.Reader) *FrameScanner {
 }
 
 // LimitPayload lowers the maximum accepted payload length. A frame declaring
-// more than n bytes fails with ErrInvalid before any allocation, so a hostile
-// length field cannot drive memory growth.
+// more than n bytes fails with ErrInvalid before any allocation. (Under the
+// limit, a declared length drives at most scanGrowStep of allocation before
+// the bytes arrive to back it.)
 func (s *FrameScanner) LimitPayload(n int) {
 	if n > 0 && uint32(n) < s.max {
 		s.max = uint32(n)
@@ -553,14 +560,23 @@ func (s *FrameScanner) Next() (kind uint8, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrInvalid, n, s.max)
 	}
 	total := headerSize + int(n) + trailerSize
-	if cap(s.buf) < total {
-		grown := make([]byte, total)
-		copy(grown, head)
-		s.buf = grown
+	frame := head
+	for len(frame) < total {
+		end := total
+		if end > cap(frame) {
+			// The declared length is only a claim until the bytes arrive:
+			// past scanGrowStep, grow no further than double what has
+			// arrived, so a hostile header costs at most one step.
+			end = min(end, max(2*len(frame), scanGrowStep))
+			grown := make([]byte, len(frame), end)
+			copy(grown, frame)
+			frame = grown
+		}
+		if _, err := io.ReadFull(s.r, frame[len(frame):end]); err != nil {
+			return 0, nil, fmt.Errorf("%w: reading frame body: %w", ErrInvalid, err)
+		}
+		frame = frame[:end]
 	}
-	frame := s.buf[:total]
-	if _, err := io.ReadFull(s.r, frame[headerSize:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading frame body: %w", ErrInvalid, err)
-	}
+	s.buf = frame
 	return ParseFrame(frame)
 }

@@ -1,10 +1,13 @@
 package codec
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -337,6 +340,41 @@ func TestFrameScannerLimitPayload(t *testing.T) {
 	}
 }
 
+// TestFrameScannerHostileLength: a header declaring a 1 GiB payload backed
+// by 10 bytes and EOF must fail as a cut frame without allocating anywhere
+// near the declared size, while a real frame past the growth step still
+// decodes intact through fragmented reads.
+func TestFrameScannerHostileLength(t *testing.T) {
+	hostile := append([]byte(magic), Version, KindWireState)
+	hostile = binary.LittleEndian.AppendUint32(hostile, 1<<30)
+	hostile = append(hostile, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := NewFrameScanner(bytes.NewReader(hostile)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrInvalid) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("hostile length: want ErrInvalid wrapping io.ErrUnexpectedEOF, got %v", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 4<<20 {
+		t.Fatalf("hostile length allocated %d bytes before its body arrived, want < 4 MiB", d)
+	}
+
+	big := make([]byte, 3*scanGrowStep+17)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	stream := AppendFrame(nil, KindWireState, big)
+	stream = AppendFrame(stream, KindWireOK, []byte("after"))
+	sc := NewFrameScanner(&chunkReader{data: stream, n: 40000})
+	kind, payload, err := sc.Next()
+	if err != nil || kind != KindWireState || !bytes.Equal(payload, big) {
+		t.Fatalf("large frame: kind=%d len=%d err=%v", kind, len(payload), err)
+	}
+	if kind, payload, err = sc.Next(); err != nil || kind != KindWireOK || string(payload) != "after" {
+		t.Fatalf("frame after large frame: kind=%d payload=%q err=%v", kind, payload, err)
+	}
+}
+
 // TestFrameScannerBufferReuse checks the steady-state contract: after the
 // buffer has grown to the largest frame seen, further frames of that size or
 // smaller allocate nothing.
@@ -444,4 +482,92 @@ func TestF64sInto(t *testing.T) {
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scanned is one FrameScanner.Next outcome: a frame, or the class of the
+// error that ended the stream.
+type scanned struct {
+	kind    uint8
+	payload string
+	class   string
+}
+
+// scanAll runs sc to the end of its stream under a payload limit.
+func scanAll(t *testing.T, sc *FrameScanner, limit int) []scanned {
+	sc.LimitPayload(limit)
+	var out []scanned
+	for {
+		kind, payload, err := sc.Next()
+		switch {
+		case err == nil:
+			if len(payload) > limit {
+				t.Fatalf("payload of %d bytes passed limit %d", len(payload), limit)
+			}
+			out = append(out, scanned{kind: kind, payload: string(payload)})
+			continue
+		case err == io.EOF:
+			out = append(out, scanned{class: "eof"})
+		case errors.Is(err, io.ErrUnexpectedEOF):
+			out = append(out, scanned{class: "cut"})
+		case errors.Is(err, ErrInvalid):
+			out = append(out, scanned{class: "invalid"})
+		default:
+			t.Fatalf("error %v is neither EOF nor ErrInvalid", err)
+		}
+		return out
+	}
+}
+
+// FuzzFrameScanner feeds arbitrary bytes through FrameScanner in reads of
+// at most k bytes, once straight and once through a bufio.Reader (the shape
+// of every connection loop). Neither may panic or pass a payload over the
+// limit, and both must see the same frames and the same terminal error
+// class: buffering must never change what a peer's bytes mean.
+func FuzzFrameScanner(f *testing.F) {
+	reply := func(kind uint8, build func(b *Buffer)) []byte {
+		b := NewBuffer(nil)
+		mark := b.BeginFrame(kind)
+		build(b)
+		b.EndFrame(mark)
+		return b.Bytes()
+	}
+	ok := reply(KindWireOK, func(b *Buffer) { b.U64(1<<32 | 3) })
+	fail := reply(KindWireError, func(b *Buffer) {
+		b.U64(2<<32 | 5)
+		b.Str("server: stream not found")
+	})
+	event := reply(KindWireEvent, func(b *Buffer) {
+		b.U64(0)
+		b.Str("stream-7")
+		b.U64(4096)
+		b.I64(1_700_000_000_000_000_000)
+		b.Ints([]int{1, 3})
+		b.U32(0)
+	})
+	state := reply(KindWireState, func(b *Buffer) {
+		b.U64(3<<32 | 1)
+		env := AppendFrame(nil, KindMonitorStream, bytes.Repeat([]byte{0xA5}, 300))
+		b.U32(uint32(len(env)))
+		b.Write(env)
+	})
+	all := bytes.Join([][]byte{ok, fail, event, state, ok}, nil)
+	corrupt := bytes.Clone(all)
+	corrupt[len(ok)+12] ^= 0x40
+	for _, seed := range [][]byte{ok, fail, event, state, all, all[:len(all)-7], corrupt, {}} {
+		f.Add(seed, uint8(0), uint16(1<<15))
+		f.Add(seed, uint8(6), uint16(64))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, k uint8, limit uint16) {
+		n, max := int(k)+1, int(limit)+1
+		plain := scanAll(t, NewFrameScanner(&chunkReader{data: data, n: n}), max)
+		buffered := scanAll(t, NewFrameScanner(bufio.NewReaderSize(&chunkReader{data: data, n: n}, 64)), max)
+		if len(plain) != len(buffered) {
+			t.Fatalf("unbuffered saw %d outcomes, buffered %d:\n%v\n%v", len(plain), len(buffered), plain, buffered)
+		}
+		for i := range plain {
+			if plain[i] != buffered[i] {
+				t.Fatalf("outcome %d: unbuffered %+v, buffered %+v", i, plain[i], buffered[i])
+			}
+		}
+	})
 }

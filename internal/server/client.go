@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -447,7 +448,9 @@ func (c *Client) Subscribe(buffer int) (*Subscription, error) {
 		nc.Close()
 		return nil, fmt.Errorf("server: write: %w", err)
 	}
-	sc := codec.NewFrameScanner(nc)
+	// The handshake and loop share one buffered scanner: event frames the
+	// server pushed right behind the OK reply may already sit in its buffer.
+	sc := codec.NewFrameScanner(bufio.NewReaderSize(nc, recvBufBytes))
 	kind, body, err := sc.Next()
 	if err != nil {
 		nc.Close()

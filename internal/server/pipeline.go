@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -21,10 +22,16 @@ import (
 // with a window of W in-flight requests over one connection:
 //
 //	caller:  acquire slot -> build frame in the slot -> sendq
-//	writer:  drain sendq, register slots in flight, one writev per drain
-//	reader:  match each reply to the oldest in-flight slot, resolve the
-//	         ack and recycle the slot (ack-only requests) or park the
-//	         reply and signal the awaiting caller (payload requests)
+//	writer:  drain sendq, register slots in flight, copy their frames
+//	         into one buffer, one write per drain
+//	reader:  one buffered read per burst of replies; match each reply to
+//	         the oldest in-flight slot, resolve the ack and recycle the
+//	         slot (ack-only requests) or park the reply and signal the
+//	         awaiting caller (payload requests)
+//
+// Both sides mirror the server's connection loop, which reads through a
+// 32 KiB buffer and coalesces its replies into one write per drain, so a
+// full window costs ~2 syscalls a side instead of 2·W.
 //
 // Slots are the unit of everything: each of the W slots owns its request
 // frame buffer, its reply scratch, and its completion channel, so a caller
@@ -177,6 +184,9 @@ type epoch struct {
 	errMu    sync.Mutex
 	err      error
 	wg       sync.WaitGroup
+	// out is the writer's staging buffer: the copied frames of one drain of
+	// sendq (see writeLoop). Touched only by the writer goroutine.
+	out []byte
 	// orphan is the slot the reader had already dequeued from inflight when
 	// it killed the epoch (a mismatched or corrupt reply — e.g. the second
 	// reply to a frame a middlebox duplicated). It is still owed a reply, and
@@ -562,65 +572,84 @@ func (c *Client) release(slot uint32) {
 	c.free <- slot
 }
 
-// writeLoop drains the send queue and writes frames to the socket, batching
-// whatever is queued into a single vector write (writev) so W pipelined
-// requests cost ~1 syscall instead of W. A slot is registered in `inflight`
-// before its bytes can reach the wire, so by the time the server's reply
-// arrives the reader is guaranteed to find the owner at the head of the
-// queue. A reconnect epoch resubmits the previous epoch's outstanding
-// slots before consuming anything new.
+// sendFlushBytes caps how many copied request bytes the writer stages
+// before it writes them out, the client-side twin of the server's
+// replyFlushBytes: a drained window goes out in one write, and a frame
+// larger than the cap streams through the buffer in cap-sized writes
+// instead of growing it.
+const sendFlushBytes = 64 << 10
+
+// recvBufBytes sizes the buffered reader under every client-side frame
+// scanner (the epoch reader and Subscribe), as on the server: one read
+// syscall takes in every reply the server coalesced into one write.
+const recvBufBytes = 32 << 10
+
+// writeLoop drains the send queue and writes frames to the socket, copying
+// whatever is queued into one epoch-owned buffer and writing it out at once,
+// so W pipelined requests cost ~1 syscall instead of W. A slot is registered
+// in `inflight` before its bytes can reach the wire, so by the time the
+// server's reply arrives the reader is guaranteed to find the owner at the
+// head of the queue. The copy is what makes that early registration safe:
+// the reader may recycle a slot, and a caller may rebuild its frame, the
+// moment the reply lands, which can be before the Write carrying the frame
+// has returned; the bytes in flight belong to the writer, never to a slot.
+// A reconnect epoch resubmits the previous epoch's outstanding slots before
+// consuming anything new.
 func (ep *epoch) writeLoop() {
 	defer ep.wg.Done()
 	c := ep.c
-	// bufs is the master backing array; wv (the net.Buffers WriteTo consumes
-	// and advances) is a copy of its header, so the master keeps its
-	// capacity across rounds. wv lives outside the loop because WriteTo's
-	// pointer receiver makes it escape — one heap cell for the goroutine's
-	// lifetime instead of one allocation per vector write.
-	bufs := make(net.Buffers, 0, c.window)
-	var wv net.Buffers
-	if len(ep.resub) > 0 {
-		for _, slot := range ep.resub {
-			ep.inflight <- slot
-			bufs = append(bufs, c.calls[slot].frame.Bytes())
-		}
-		if !ep.writeVec(&wv, bufs) {
+	for _, slot := range ep.resub {
+		if !ep.stage(slot) {
 			return
 		}
 	}
 	for {
+		if !ep.flush() {
+			return
+		}
 		var slot uint32
 		select {
 		case slot = <-c.sendq:
 		case <-ep.dead:
 			return
 		}
-		ep.inflight <- slot
-		bufs = append(bufs[:0], c.calls[slot].frame.Bytes())
-	coalesce:
-		for len(bufs) < c.window {
-			select {
-			case s := <-c.sendq:
-				ep.inflight <- s
-				bufs = append(bufs, c.calls[s].frame.Bytes())
-			default:
-				break coalesce
+		for more := true; more; {
+			if !ep.stage(slot) {
+				return
 			}
-		}
-		if !ep.writeVec(&wv, bufs) {
-			return
+			select {
+			case slot = <-c.sendq:
+			default:
+				more = false
+			}
 		}
 	}
 }
 
-func (ep *epoch) writeVec(wv *net.Buffers, bufs net.Buffers) bool {
-	var err error
-	if len(bufs) == 1 {
-		_, err = ep.nc.Write(bufs[0])
-	} else {
-		*wv = bufs
-		_, err = wv.WriteTo(ep.nc)
+// stage registers slot in flight and copies its frame into the write
+// buffer, writing the buffer out each time it fills to sendFlushBytes.
+func (ep *epoch) stage(slot uint32) bool {
+	ep.inflight <- slot
+	frame := ep.c.calls[slot].frame.Bytes()
+	for len(frame) > 0 {
+		n := min(len(frame), sendFlushBytes-len(ep.out))
+		ep.out = append(ep.out, frame[:n]...)
+		frame = frame[n:]
+		if len(ep.out) == sendFlushBytes && !ep.flush() {
+			return false
+		}
 	}
+	return true
+}
+
+// flush writes out and empties the write buffer; false once the write has
+// failed and killed the epoch.
+func (ep *epoch) flush() bool {
+	if len(ep.out) == 0 {
+		return true
+	}
+	_, err := ep.nc.Write(ep.out)
+	ep.out = ep.out[:0]
 	if err != nil {
 		ep.fail(classed(ClassTransport, fmt.Errorf("server: write: %w", err)))
 		return false
@@ -628,9 +657,10 @@ func (ep *epoch) writeVec(wv *net.Buffers, bufs net.Buffers) bool {
 	return true
 }
 
-// readLoop matches replies to in-flight slots. The server replies strictly
-// in request order per connection, so the oldest registered slot owns the
-// next reply; the echoed id (gen<<32|slot) is verified against the slot's
+// readLoop matches replies to in-flight slots. It scans through a buffered
+// reader, so the replies the server coalesced into one write cost one read
+// syscall, not two per frame. The server replies strictly in request order
+// per connection, so the oldest registered slot owns the next reply; the echoed id (gen<<32|slot) is verified against the slot's
 // current occupant, making a mismatched, stale, or unsolicited reply a
 // connection-fatal protocol error rather than silent corruption. (With
 // Reconnect set, "connection-fatal" means a reconnect: a poisoned stream —
@@ -639,7 +669,7 @@ func (ep *epoch) writeVec(wv *net.Buffers, bufs net.Buffers) bool {
 func (ep *epoch) readLoop() {
 	defer ep.wg.Done()
 	c := ep.c
-	sc := codec.NewFrameScanner(ep.nc)
+	sc := codec.NewFrameScanner(bufio.NewReaderSize(ep.nc, recvBufBytes))
 	var rd codec.Reader
 	for {
 		kind, body, err := sc.Next()

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,7 +295,9 @@ func readRequest(t *testing.T, sc *codec.FrameScanner) (uint8, uint64) {
 
 // TestPipelinedMidWindowCrash: the server dies with most of the window
 // unacknowledged. Every pending caller must get an error — none may hang —
-// and later calls must return the same sticky error.
+// and later calls must return the same sticky error. The fake server
+// crashes only once all calls are issued: a call issued after the crash
+// may rightly fail at once instead of returning a Pending.
 func TestPipelinedMidWindowCrash(t *testing.T) {
 	const window = 8
 	c, srvEnd := pipeClient(window)
@@ -301,6 +305,7 @@ func TestPipelinedMidWindowCrash(t *testing.T) {
 	obs := testObs(4, 1)[0]
 
 	done := make(chan error, window)
+	issued := make(chan struct{})
 	go func() {
 		// Fake server: ack the first request, swallow two more, then crash.
 		sc := codec.NewFrameScanner(srvEnd)
@@ -312,6 +317,7 @@ func TestPipelinedMidWindowCrash(t *testing.T) {
 		}
 		readRequest(t, sc)
 		readRequest(t, sc)
+		<-issued
 		srvEnd.Close()
 	}()
 
@@ -323,6 +329,7 @@ func TestPipelinedMidWindowCrash(t *testing.T) {
 		}
 		pend[i] = p
 	}
+	close(issued)
 	for i := range pend {
 		go func(i int) { done <- pend[i].Wait() }(i)
 	}
@@ -461,6 +468,193 @@ func TestPipelinedFragmentedReplies(t *testing.T) {
 		}
 		<-fakeDone
 		c.Close()
+	}
+}
+
+// holdConn is a net.Conn whose first Write checks the io.Writer contract:
+// the caller must not touch p until Write returns. It snapshots p on entry
+// and forwards it, then parks until the test has seen the reply and built
+// a new request in the recycled slot, and only then compares p against the
+// snapshot.
+type holdConn struct {
+	net.Conn
+	once     sync.Once
+	reissued chan struct{}
+	changed  chan bool // cap 1; the held Write's verdict
+}
+
+func (h *holdConn) Write(p []byte) (int, error) {
+	held := false
+	h.once.Do(func() { held = true })
+	if !held {
+		return h.Conn.Write(p)
+	}
+	snap := bytes.Clone(p)
+	n, err := h.Conn.Write(p)
+	select {
+	case <-h.reissued:
+	case <-time.After(10 * time.Second):
+	}
+	h.changed <- !bytes.Equal(p, snap)
+	return n, err
+}
+
+// TestPipelinedWriteOwnsBytes pins the slot-reuse fix without relying on
+// the race detector. With a window of 1 the second request must reuse the
+// slot the first one frees, and the first Write is held open until the
+// first reply has recycled that slot and the second frame has been built
+// in it. A writer that hands a slot's own frame buffer to Write sees it
+// rebuilt under the Write; the writer's copy must not change.
+func TestPipelinedWriteOwnsBytes(t *testing.T) {
+	cliEnd, srvEnd := net.Pipe()
+	hc := &holdConn{Conn: cliEnd, reissued: make(chan struct{}), changed: make(chan bool, 1)}
+	c := newPipelined("pipe", hc, 1)
+	defer c.Close()
+	go func() {
+		// Fake server: ack every request until the pipe closes.
+		sc := codec.NewFrameScanner(srvEnd)
+		for {
+			_, body, err := sc.Next()
+			if err != nil || len(body) < 8 {
+				return
+			}
+			if _, err := srvEnd.Write(codec.AppendFrame(nil, codec.KindWireOK, body[:8])); err != nil {
+				return
+			}
+		}
+	}()
+	obs := testObs(4, 2)
+	p, err := c.IngestAsync("s", obs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	// The reply landed while the writer is still inside its first Write.
+	p, err = c.IngestAsync("another-stream", obs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(hc.reissued)
+	if <-hc.changed {
+		t.Fatal("the bytes passed to Write changed before Write returned: the writer shares the slot's frame buffer")
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatalf("second request: %v", err)
+	}
+}
+
+// countConn counts the Read calls made on a connection.
+type countConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestPipelinedReadCoalescing: replies the server coalesced into one write
+// must reach the reader in one read, not two reads (header, body) per frame.
+func TestPipelinedReadCoalescing(t *testing.T) {
+	const n = 16
+	cliEnd, srvEnd := net.Pipe()
+	cc := &countConn{Conn: cliEnd}
+	c := newPipelined("pipe", cc, n)
+	defer c.Close()
+	go func() {
+		sc := codec.NewFrameScanner(srvEnd)
+		out := codec.NewBuffer(nil)
+		for i := 0; i < n; i++ {
+			_, id := readRequest(t, sc)
+			mark := out.BeginFrame(codec.KindWireOK)
+			out.U64(id)
+			out.EndFrame(mark)
+		}
+		if _, err := srvEnd.Write(out.Bytes()); err != nil {
+			t.Errorf("fake server write: %v", err)
+		}
+	}()
+	obs := testObs(4, 1)[0]
+	var pend [n]Pending
+	for i := range pend {
+		p, err := c.IngestAsync("s", obs)
+		if err != nil {
+			t.Fatalf("IngestAsync %d: %v", i, err)
+		}
+		pend[i] = p
+	}
+	for i := range pend {
+		if err := pend[i].Wait(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if r := cc.reads.Load(); r > 2 {
+		t.Fatalf("%d replies in one server write took %d Read calls, want <= 2", n, r)
+	}
+}
+
+// TestSubscribeKeepsBufferedEvents: events the server pushes right behind
+// the subscribe OK, in the same write, must all be delivered. The read that
+// takes in the OK takes them in too, so the handshake and the event loop
+// must share one buffered reader.
+func TestSubscribeKeepsBufferedEvents(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const events = 5
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		_, id := readRequest(t, codec.NewFrameScanner(nc))
+		out := codec.NewBuffer(nil)
+		mark := out.BeginFrame(codec.KindWireOK)
+		out.U64(id)
+		out.EndFrame(mark)
+		for i := 0; i < events; i++ {
+			mark := out.BeginFrame(codec.KindWireEvent)
+			out.U64(0)
+			out.Str(fmt.Sprintf("stream-%d", i))
+			out.U64(uint64(100 + i))
+			out.I64(int64(i))
+			out.Ints([]int{i % 3})
+			out.U32(0) // no flight record
+			out.EndFrame(mark)
+		}
+		if _, err := nc.Write(out.Bytes()); err != nil {
+			t.Errorf("fake server write: %v", err)
+		}
+	}()
+	// Subscribe dials the client's address; the request connection itself
+	// is an idle pipe.
+	cliEnd, srvEnd := net.Pipe()
+	defer srvEnd.Close()
+	c := newPipelined(ln.Addr().String(), cliEnd, 1)
+	defer c.Close()
+	sub, err := c.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for i := 0; i < events; i++ {
+		select {
+		case ev, ok := <-sub.Events():
+			if !ok {
+				t.Fatalf("event stream closed after %d of %d events (err %v)", i, events, sub.Err())
+			}
+			if want := fmt.Sprintf("stream-%d", i); ev.StreamID != want || ev.Seq != uint64(100+i) {
+				t.Fatalf("event %d = %s@%d, want %s@%d", i, ev.StreamID, ev.Seq, want, 100+i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("event %d of %d never delivered", i, events)
+		}
 	}
 }
 
