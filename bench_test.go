@@ -472,17 +472,14 @@ func BenchmarkMonitorIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := int(next.Add(1))
 				for pb.Next() {
 					i++
-					if err := m.Ingest(ids[i%streams], obs[i%len(obs)]); err != nil {
+					k := i % len(obs)
+					if err := m.IngestBatch(ids[i%streams], obs[k:k+1]); err != nil {
 						b.Error(err)
 						return
 					}
@@ -515,13 +512,10 @@ func BenchmarkMonitorIngestSingleStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Ingest("only", obs[i%len(obs)]); err != nil {
+		k := i % len(obs)
+		if err := m.IngestBatch("only", obs[k:k+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -541,8 +535,8 @@ func (d *benchCountDetector) Update(detectors.Observation) detectors.State {
 func (d *benchCountDetector) Reset()       {}
 func (d *benchCountDetector) Name() string { return "count" }
 
-// BenchmarkMonitorIngestBatch compares per-instance Ingest against
-// IngestBatch at block 256 across 64 streams. ns/op is per 256-observation
+// BenchmarkMonitorIngestBatch compares per-instance ingest (blocks of one)
+// against IngestBatch at block 256 across 64 streams. ns/op is per 256-observation
 // block; the ns/obs metric is comparable across sub-benches. The "overhead"
 // variants host a near-free detector, isolating the monitor path that
 // batching amortizes (one queue hop, one pooled slab, and one shard
@@ -604,14 +598,10 @@ func BenchmarkMonitorIngestBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			// Warm pools and detectors before measuring steady state.
 			for s := 0; s < streams; s++ {
 				for j := 0; j < block; j++ {
-					if err := m.Ingest(ids[s], obs[j]); err != nil {
+					if err := m.IngestBatch(ids[s], obs[j:j+1]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -621,7 +611,7 @@ func BenchmarkMonitorIngestBatch(b *testing.B) {
 				id := ids[i%streams]
 				base := (i * block) % len(obs)
 				for j := 0; j < block; j++ {
-					if err := m.Ingest(id, obs[base+j]); err != nil {
+					if err := m.IngestBatch(id, obs[base+j:base+j+1]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -635,10 +625,6 @@ func BenchmarkMonitorIngestBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			for s := 0; s < streams; s++ {
 				if err := m.IngestBatch(ids[s], obs[:block]); err != nil {
 					b.Fatal(err)
@@ -676,7 +662,7 @@ func newBenchTree() interface {
 }
 
 // BenchmarkMonitorCheckpoint measures what state persistence costs the
-// ingest path: the single-stream single-shard Ingest loop (the monitor's
+// ingest path: the single-stream single-shard blocks-of-one loop (the monitor's
 // per-observation floor) with checkpointing off, against an in-memory store
 // snapshotting every 100 ms and a filesystem store at the same cadence.
 // Snapshots are serialized on the shard goroutine into pooled buffers and
@@ -719,20 +705,17 @@ func BenchmarkMonitorCheckpoint(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			// Warm the detector, pools, and checkpoint scratch.
 			for i := 0; i < 512; i++ {
-				if err := m.Ingest("only", obs[i%len(obs)]); err != nil {
+				if err := m.IngestBatch("only", obs[i:i+1]); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := m.Ingest("only", obs[i%len(obs)]); err != nil {
+				k := i % len(obs)
+				if err := m.IngestBatch("only", obs[k:k+1]); err != nil {
 					b.Fatal(err)
 				}
 			}

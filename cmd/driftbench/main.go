@@ -3,13 +3,21 @@
 // Bonferroni-Dunn rank analysis (Figures 4-5), the Bayesian signed tests
 // (Figures 6-7), the local-drift sweep (Figure 8), and the imbalance-ratio
 // robustness sweep (Figure 9). Each experiment honours the shared -scale
-// and -seed flags; individual experiments can be selected with -run.
+// and -seed flags; individual experiments can be selected with -run, a
+// comma-separated list.
 //
 // Usage:
 //
 //	driftbench [-run all|table3|ranks|bayes|fig8|fig9|resume] [-scale 0.02]
-//	           [-seed 42] [-block 1] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	           [-seed 42] [-block 1] [-benchmarks EEG,RBF5] [-extras]
+//	           [-values 1,3,5] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	           [-checkpoint ck.bin] [-resume ck.bin]
+//
+// -benchmarks restricts every experiment to the named streams (the fig8 and
+// fig9 sweeps keep only the artificial ones). -extras adds the DDM, EDDM,
+// ADWIN and HDDM-A baselines to Table III. -values overrides the swept
+// values of fig8 (class counts) or fig9 (imbalance ratios); it is refused
+// when both sweeps are selected, because the values mean different things.
 //
 // A full run at -scale 0.02 finishes in a few minutes on a laptop; use
 // -scale 1.0 for the paper's full stream lengths. The -cpuprofile and
@@ -37,6 +45,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -45,13 +54,16 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiments: all, table3, ranks, bayes, fig8, fig9")
+	run := flag.String("run", "all", "comma-separated experiments: all, table3, ranks, bayes, fig8, fig9, resume")
 	scale := flag.Float64("scale", 0.02, "fraction of each benchmark's full length (1.0 = Table I size)")
 	seed := flag.Int64("seed", 42, "random seed")
 	window := flag.Int("window", 1000, "prequential metric window")
 	parallel := flag.Int("parallel", 0, "worker goroutines (default: NumCPU)")
 	rope := flag.Float64("rope", 1.0, "Bayesian signed test rope (metric points)")
 	blockSize := flag.Int("block", 1, "prequential block length fed to every pipeline (1 = classic per-instance loop)")
+	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset for every experiment (default: all)")
+	extras := flag.Bool("extras", false, "table3: include the DDM/EDDM/ADWIN/HDDM-A extra baselines")
+	values := flag.String("values", "", "fig8 or fig9: comma-separated swept values (class counts or imbalance ratios)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	checkpoint := flag.String("checkpoint", "", "with -run resume: save the detector mid-stream to this file and stop")
@@ -103,6 +115,23 @@ func main() {
 	}
 	all := want["all"]
 	started := time.Now()
+	var benchList []string
+	if *benchmarks != "" {
+		benchList = strings.Split(*benchmarks, ",")
+	}
+	var sweepValues []int
+	if *values != "" {
+		if all || (want["fig8"] && want["fig9"]) {
+			fail(fmt.Errorf("-values applies to one of fig8 (class counts) or fig9 (imbalance ratios), not both"))
+		}
+		for _, v := range strings.Split(*values, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(v))
+			if err != nil {
+				fail(fmt.Errorf("bad -values entry %q", v))
+			}
+			sweepValues = append(sweepValues, n)
+		}
+	}
 
 	if want["resume"] {
 		if err := runResumeDemo(*seed, *checkpoint, *resume); err != nil {
@@ -119,11 +148,13 @@ func main() {
 	if needTable3 {
 		fmt.Printf("== Experiment 1 (Table III), scale=%.3f ==\n", *scale)
 		out, err := eval.RunTable3(eval.Table3Config{
-			Scale:        *scale,
-			Seed:         *seed,
-			MetricWindow: *window,
-			Parallelism:  *parallel,
-			BlockSize:    *blockSize,
+			Scale:         *scale,
+			Seed:          *seed,
+			MetricWindow:  *window,
+			Parallelism:   *parallel,
+			BlockSize:     *blockSize,
+			Benchmarks:    benchList,
+			IncludeExtras: *extras,
 		})
 		if err != nil {
 			fail(err)
@@ -150,15 +181,18 @@ func main() {
 			}
 		}
 	}
+	sweep := eval.SweepConfig{
+		Scale:        *scale,
+		Seed:         *seed,
+		MetricWindow: *window,
+		Parallelism:  *parallel,
+		BlockSize:    *blockSize,
+		Benchmarks:   benchList,
+		Values:       sweepValues,
+	}
 	if all || want["fig8"] {
 		fmt.Printf("== Experiment 2 (Figure 8): local drift sweep, scale=%.3f ==\n", *scale)
-		out, err := eval.RunLocalDriftSweep(eval.SweepConfig{
-			Scale:        *scale,
-			Seed:         *seed,
-			MetricWindow: *window,
-			Parallelism:  *parallel,
-			BlockSize:    *blockSize,
-		})
+		out, err := eval.RunLocalDriftSweep(sweep)
 		if err != nil {
 			fail(err)
 		}
@@ -167,13 +201,7 @@ func main() {
 	}
 	if all || want["fig9"] {
 		fmt.Printf("== Experiment 3 (Figure 9): imbalance-ratio sweep, scale=%.3f ==\n", *scale)
-		out, err := eval.RunImbalanceSweep(eval.SweepConfig{
-			Scale:        *scale,
-			Seed:         *seed,
-			MetricWindow: *window,
-			Parallelism:  *parallel,
-			BlockSize:    *blockSize,
-		})
+		out, err := eval.RunImbalanceSweep(sweep)
 		if err != nil {
 			fail(err)
 		}

@@ -14,22 +14,23 @@
 //	            [-shards N] [-queue 4096] [-seed 7]
 //	            [-checkpoint mem|DIR] [-ckptint 30s] [-idlettl 0]
 //	            [-subevict 0] [-shed 0.9] [-dedupwindow 1024] [-sessions 1024]
-//	            [-telemetry full|basic|off]
+//	            [-telemetry full|off]
 //
 // -telemetry full (the default) times every hot-path stage — per-kind
 // request service, shard queue wait, detector updates, checkpoint writes —
-// into log2 latency histograms; basic keeps only the wire-visible serve_*
-// stages; off removes all timing. The level never changes drift decisions.
+// into log2 latency histograms; off removes all timing. The level never
+// changes drift decisions.
 //
 // With -checkpoint DIR the per-stream detector states live in a filesystem
 // store: a killed server restarted against the same directory rehydrates
 // every stream and continues detection exactly where the last flushed
 // checkpoint left off (clients can force durability via FlushCheckpoints).
 // On SIGINT/SIGTERM the server drains its connections, flushes the store,
-// and prints a final canonical-JSON snapshot.
+// and prints the final snapshot as JSON.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -58,7 +59,7 @@ func main() {
 	shed := flag.Float64("shed", 0, "overload shedding high water as a fraction of shard queue capacity (0 disables; e.g. 0.9)")
 	dedupWindow := flag.Int("dedupwindow", 0, "exactly-once dedup window per (session, stream) in sequence numbers (default 1024; negative disables)")
 	sessions := flag.Int("sessions", 0, "maximum client sessions tracked for dedup before LRU eviction (default 1024)")
-	telemetryLevel := flag.String("telemetry", "full", "latency telemetry granularity: full, basic, or off")
+	telemetryLevel := flag.String("telemetry", "full", "latency telemetry: full or off")
 	flag.Parse()
 
 	tele, err := rbmim.ParseTelemetryLevel(*telemetryLevel)
@@ -115,9 +116,12 @@ func main() {
 	fmt.Printf("driftserver: %s, shutting down\n", s)
 	srv.Close() // drain connections, stop accepting
 	m.Close()   // drain shards, flush the checkpoint store
-	// The canonical stable-field-order snapshot encoding (the same bytes
-	// /metrics consumers and monitorbench -json see).
-	fmt.Printf("driftserver: final snapshot %s\n", m.Snapshot().AppendJSON(nil))
+	// The same JSON encoding the Snapshot reply and monitorbench -json use.
+	sn, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("driftserver: final snapshot %s\n", sn)
 }
 
 func fail(err error) {

@@ -19,8 +19,8 @@
 //
 // With -drift every stream undergoes a sudden concept change halfway
 // through, so the drift-event column should be non-zero for most streams.
-// With -batch N > 0 every shard count is swept twice — per-instance Ingest
-// and N-observation IngestBatch — and each batched row reports its speedup
+// With -batch N > 0 every shard count is swept twice — per-instance ingest
+// (blocks of one) and N-observation IngestBatch — and each batched row reports its speedup
 // over the per-instance row. With -json the run is appended as one record
 // to the given trajectory file (an array of runs, one per invocation).
 // With -checkpoint the monitor persists every stream's detector state on the
@@ -43,7 +43,7 @@
 // FlushCheckpoints barrier and verifies through the wire snapshot that the
 // server processed every observation sent — a non-zero exit otherwise,
 // which is what the CI smoke asserts. JSON rows embed the server's
-// canonical snapshot encoding.
+// snapshot.
 //
 // The remote saturation knobs:
 //
@@ -114,7 +114,7 @@ func main() {
 	producers := flag.Int("producers", 0, "producer goroutines (default NumCPU)")
 	drift := flag.Bool("drift", false, "inject a sudden drift halfway through every stream")
 	queue := flag.Int("queue", 4096, "per-shard queue capacity in observations (envelopes for batch mode are sized accordingly)")
-	batch := flag.Int("batch", 0, "IngestBatch block size; > 0 additionally sweeps the batched path against per-instance Ingest")
+	batch := flag.Int("batch", 0, "IngestBatch block size; > 0 additionally sweeps the batched path against per-instance ingest")
 	jsonPath := flag.String("json", "", "append this run's rows to the given JSON trajectory file")
 	checkpoint := flag.String("checkpoint", "", `enable checkpointing: "mem" or a directory for a filesystem store`)
 	ckptInt := flag.Duration("ckptint", 500*time.Millisecond, "periodic snapshot cadence when -checkpoint is set")
@@ -329,7 +329,7 @@ type runConfig struct {
 
 type runRow struct {
 	Shards          int     `json:"shards"`
-	Batch           int     `json:"batch"` // 0 = per-instance Ingest
+	Batch           int     `json:"batch"` // 0 = per-instance ingest
 	InstancesPerSec float64 `json:"instances_per_sec"`
 	WallMS          float64 `json:"wall_ms"`
 	Drifts          uint64  `json:"drifts"`
@@ -340,9 +340,8 @@ type runRow struct {
 	IngestP50MS float64 `json:"ingest_p50_ms,omitempty"`
 	IngestP95MS float64 `json:"ingest_p95_ms,omitempty"`
 	IngestP99MS float64 `json:"ingest_p99_ms,omitempty"`
-	// Snapshot is the monitor's end-of-run state in the canonical
-	// stable-field-order encoding (monitor.Snapshot.MarshalJSON) — the same
-	// bytes the server's Snapshot reply and /metrics pipeline carry.
+	// Snapshot is the monitor's end-of-run state, in the same JSON encoding
+	// as the server's Snapshot reply.
 	Snapshot *rbmim.MonitorSnapshot `json:"snapshot,omitempty"`
 }
 
@@ -1085,12 +1084,6 @@ func runSweep(workload []workloadStream, features, classes, shards, producers, q
 	if err != nil {
 		return sweepResult{}, err
 	}
-	// Drain events so slow consumers never distort the measurement.
-	go func() {
-		for range m.Events() {
-		}
-	}()
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -1099,20 +1092,11 @@ func runSweep(workload []workloadStream, features, classes, shards, producers, q
 			defer wg.Done()
 			for s := p; s < len(workload); s += producers {
 				ws := workload[s]
-				if batch > 0 {
-					for i := 0; i < len(ws.obs); i += batch {
-						end := i + batch
-						if end > len(ws.obs) {
-							end = len(ws.obs)
-						}
-						if err := m.IngestBatch(ws.id, ws.obs[i:end]); err != nil {
-							return
-						}
-					}
-					continue
-				}
-				for i := range ws.obs {
-					if err := m.Ingest(ws.id, ws.obs[i]); err != nil {
+				// Per-instance ingest (batch 0) is a block of one.
+				step := max(batch, 1)
+				for i := 0; i < len(ws.obs); i += step {
+					end := min(i+step, len(ws.obs))
+					if err := m.IngestBatch(ws.id, ws.obs[i:end]); err != nil {
 						return
 					}
 				}

@@ -58,28 +58,37 @@ func ExampleMonitor() {
 		log.Fatal(err)
 	}
 
-	// Subscribe to drift events from every stream (none fire here: the
-	// streams below are stationary).
+	// Subscribe to drift events from every stream before the first ingest
+	// (none fire here: the streams below are stationary).
+	sub, err := m.Subscribe(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	go func() {
-		for ev := range m.Events() {
+		for ev := range sub.Events() {
 			log.Printf("stream %s drifted on classes %v", ev.StreamID, ev.Classes)
 		}
 	}()
 
+	block := make([]rbmim.Observation, 250)
 	for s := 0; s < 4; s++ {
 		gen, err := rbmim.NewRBF(rbmim.GeneratorConfig{Features: 8, Classes: 3, Seed: int64(s)}, 3, 0.08)
 		if err != nil {
 			log.Fatal(err)
 		}
 		id := fmt.Sprintf("sensor-%d", s)
-		for i := 0; i < 2000; i++ {
-			in := gen.Next()
-			if err := m.Ingest(id, rbmim.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}); err != nil {
+		for n := 0; n < 2000; n += len(block) {
+			for i := range block {
+				in := gen.Next()
+				block[i] = rbmim.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}
+			}
+			// The monitor copies the block; it is reusable on return.
+			if err := m.IngestBatch(id, block); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
-	m.Close() // drains the shards and closes the event channel
+	m.Close() // drains the shards and closes the subscription
 
 	sn := m.Snapshot()
 	fmt.Printf("streams=%d ingested=%d\n", sn.Streams, sn.Ingested)
@@ -263,7 +272,7 @@ func ExampleNewMemStore() {
 	feed := func(m *rbmim.Monitor, n int) {
 		for i := 0; i < n; i++ {
 			in := s.Next()
-			if err := m.Ingest("sensor-1", rbmim.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}); err != nil {
+			if err := m.IngestBatch("sensor-1", []rbmim.Observation{{X: in.X, TrueClass: in.Y, Predicted: in.Y}}); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -55,7 +55,7 @@ func (a TuneAdvice) String() string {
 }
 
 // occupancyHigh is the high-water fraction above which queues count as
-// saturating: above it, backpressure (blocked Ingest calls) is imminent.
+// saturating: above it, backpressure (blocked IngestBatch calls) is imminent.
 const occupancyHigh = 0.5
 
 // TuneAdvice inspects the ring high-water marks and current GOMAXPROCS and

@@ -68,17 +68,13 @@ func TestIngestBatchMatchesPerInstanceIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() {
-			for range m.Events() {
-			}
-		}()
 		for start := 0; start < instances; start += batch {
 			end := start + batch
 			if end > instances {
 				end = instances
 			}
 			if batch == 1 {
-				if err := m.Ingest("s", obs[start]); err != nil {
+				if err := ingestOne(m, "s", obs[start]); err != nil {
 					t.Error(err)
 				}
 			} else if err := m.IngestBatch("s", obs[start:end]); err != nil {
@@ -120,7 +116,7 @@ func TestIngestBatchPreservesPerStreamOrder(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		// Interleave singles and blocks on two streams; per-stream label
 		// order must come out monotonically increasing.
-		if err := m.Ingest("a", detectors.Observation{X: x, TrueClass: 3 * i}); err != nil {
+		if err := ingestOne(m, "a", detectors.Observation{X: x, TrueClass: 3 * i}); err != nil {
 			t.Fatal(err)
 		}
 		block := []detectors.Observation{
@@ -196,7 +192,7 @@ func TestIngestBatchEmptyAndClosed(t *testing.T) {
 }
 
 // TestBackpressureDropAccounting pins every shedding path to Snapshot:
-// TryIngest / TryIngestBatch drops on a full queue must surface in Dropped,
+// Single-observation and block TryIngestBatch drops on a full queue must surface in Dropped,
 // with blocked work eventually processed once the detector unblocks.
 func TestBackpressureDropAccounting(t *testing.T) {
 	gate := make(chan struct{})
@@ -216,13 +212,13 @@ func TestBackpressureDropAccounting(t *testing.T) {
 	// First observation is pulled by the shard and parks inside Update;
 	// the queue (capacity 1) then fills. Keep shedding until a drop is
 	// observed — the shard can drain at most one more envelope meanwhile.
-	if err := m.Ingest("s", obs); err != nil {
+	if err := ingestOne(m, "s", obs); err != nil {
 		t.Fatal(err)
 	}
 	sent := uint64(1)
 	var dropsSingle, dropsBatch uint64
 	for dropsSingle == 0 || dropsBatch == 0 {
-		ok, err := m.TryIngest("s", obs)
+		ok, err := m.TryIngestBatch("s", []detectors.Observation{obs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,15 +248,18 @@ func TestBackpressureDropAccounting(t *testing.T) {
 	}
 }
 
-// TestEventChannelDropAccounting pins slow-subscriber shedding: with a full
-// event buffer and no consumer, drifts keep counting but the overflow is
-// recorded in EventsDropped rather than stalling the shard.
+// TestEventChannelDropAccounting pins slow-subscriber shedding: with a
+// subscription queue of one and no consumer, drifts keep counting but the
+// overflow is recorded in SubscriberDropped rather than stalling the shard.
 func TestEventChannelDropAccounting(t *testing.T) {
 	m, err := New(Config{
 		Shards:      1,
-		EventBuffer: 1,
 		NewDetector: func(string) (detectors.Detector, error) { return alwaysDrift{}, nil },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := m.Subscribe(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +276,9 @@ func TestEventChannelDropAccounting(t *testing.T) {
 	if sn.Drifts != n {
 		t.Fatalf("Snapshot.Drifts = %d, want %d", sn.Drifts, n)
 	}
-	if sn.EventsDropped != n-1 {
-		t.Fatalf("Snapshot.EventsDropped = %d, want %d (buffer of 1, no subscriber)", sn.EventsDropped, n-1)
+	if sn.SubscriberDropped != n-1 || sub.Dropped() != n-1 {
+		t.Fatalf("SubscriberDropped = %d (subscription %d), want %d (queue of 1, never read)",
+			sn.SubscriberDropped, sub.Dropped(), n-1)
 	}
 }
 
@@ -296,12 +296,12 @@ func TestMaxStreamsPerShardAccounting(t *testing.T) {
 	}
 	x := []float64{0}
 	obs := detectors.Observation{X: x}
-	if err := m.Ingest("admitted", obs); err != nil {
+	if err := ingestOne(m, "admitted", obs); err != nil {
 		t.Fatal(err)
 	}
 	const rejectedSingles, rejectedBlock = 5, 7
 	for i := 0; i < rejectedSingles; i++ {
-		if err := m.Ingest(fmt.Sprintf("over-%d", i), obs); err != nil {
+		if err := ingestOne(m, fmt.Sprintf("over-%d", i), obs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +312,7 @@ func TestMaxStreamsPerShardAccounting(t *testing.T) {
 	if err := m.IngestBatch("over-batch", block); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Ingest("admitted", obs); err != nil {
+	if err := ingestOne(m, "admitted", obs); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()

@@ -42,7 +42,7 @@ func ckptObs(seed int64, n, features, classes int) []detectors.Observation {
 }
 
 // driftCollector gathers events synchronously via OnDrift (deterministic,
-// unlike the lossy event channel).
+// unlike a lossy subscription).
 type driftCollector struct {
 	mu   sync.Mutex
 	seqs []uint64
@@ -67,7 +67,7 @@ func TestEvictUnknownStreamCountsStreamError(t *testing.T) {
 	// A resident stream evicts cleanly, a second evict of it counts again.
 	obs := ckptObs(1, 20, 6, 3)
 	for _, o := range obs {
-		if err := m.Ingest("resident", o); err != nil {
+		if err := ingestOne(m, "resident", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,12 +106,8 @@ func TestMonitorKillResumeMatchesUninterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			go func() {
-				for range m.Events() {
-				}
-			}()
 			for _, o := range seg {
-				if err := m.Ingest("sensor-1", o); err != nil {
+				if err := ingestOne(m, "sensor-1", o); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -154,13 +150,9 @@ func TestEvictSpillsAndReingestRehydrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	obs := ckptObs(3, 2400, 6, 3)
 	for _, o := range obs[:1200] {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +160,7 @@ func TestEvictSpillsAndReingestRehydrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range obs[1200:] {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +204,7 @@ func TestIdleGCSpillsToStore(t *testing.T) {
 	}
 	defer m.Close()
 	for _, o := range ckptObs(4, 50, 6, 3) {
-		if err := m.Ingest("idle-stream", o); err != nil {
+		if err := ingestOne(m, "idle-stream", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,7 +246,7 @@ func TestPeriodicSnapshotCadence(t *testing.T) {
 			t.Fatal("no periodic snapshot within 5s")
 		}
 		for _, o := range obs {
-			if err := m.Ingest("live", o); err != nil {
+			if err := ingestOne(m, "live", o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -281,7 +273,7 @@ func TestCloseFlushesWithoutCadence(t *testing.T) {
 	obs := ckptObs(6, 35, 6, 3) // 35 obs: ends mid-mini-batch
 	for _, id := range []string{"a", "b", "c"} {
 		for _, o := range obs {
-			if err := m.Ingest(id, o); err != nil {
+			if err := ingestOne(m, id, o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -312,7 +304,7 @@ func TestCorruptStoreEntryFallsBackToFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ckptObs(7, 60, 6, 3) {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +334,7 @@ func TestNonStatefulDetectorsAreSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ckptObs(8, 40, 6, 3) {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +371,7 @@ func TestFSStoreSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range obs[:700] {
-		if err := m1.Ingest(id, o); err != nil {
+		if err := ingestOne(m1, id, o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -403,7 +395,7 @@ func TestFSStoreSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range obs[700:] {
-		if err := m2.Ingest(id, o); err != nil {
+		if err := ingestOne(m2, id, o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -476,7 +468,7 @@ func TestCheckpointEnvelopeRejectsForeignFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range ckptObs(10, 30, 6, 3) {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,14 +24,18 @@ func driftConfig(shards, n int) Config {
 // must not return before the teardown is complete — the contract the network
 // server's shutdown path relies on.
 func TestCloseIdempotentAndConcurrent(t *testing.T) {
-	// A never-drifting detector keeps the event channel deterministically
+	// A never-drifting detector keeps the subscription deterministically
 	// empty, so a received value below can only mean "channel still open".
 	m, err := New(driftConfig(4, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub, err := m.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 64; i++ {
-		if err := m.Ingest("s", detectors.Observation{X: make([]float64, 8)}); err != nil {
+		if err := ingestOne(m, "s", detectors.Observation{X: make([]float64, 8)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,9 +47,9 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 			defer wg.Done()
 			m.Close()
 			// Every Close call, winner or not, must only return once the
-			// event channel is closed.
-			if _, ok := <-m.Events(); ok {
-				t.Error("Close returned before the event channel was closed")
+			// subscription channel is closed.
+			if _, ok := <-sub.Events(); ok {
+				t.Error("Close returned before the subscription channel was closed")
 			}
 		}()
 	}
@@ -56,8 +60,7 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	}
 }
 
-// TestSubscribeFanout verifies that every subscriber receives every event,
-// independently of the shared Events channel.
+// TestSubscribeFanout verifies that every subscriber receives every event.
 func TestSubscribeFanout(t *testing.T) {
 	m, err := New(driftConfig(2, 10))
 	if err != nil {
@@ -74,13 +77,9 @@ func TestSubscribeFanout(t *testing.T) {
 	if got := m.Snapshot().Subscribers; got != 2 {
 		t.Fatalf("Subscribers = %d, want 2", got)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	o := detectors.Observation{X: make([]float64, 4)}
 	for i := 0; i < 50; i++ { // 5 drifts at n=10
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,14 +118,10 @@ func TestSubscriberDropAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range m.Events() {
-		}
-	}()
 	o := detectors.Observation{X: make([]float64, 4)}
 	const obs = 200
 	for i := 0; i < obs; i++ {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +163,7 @@ func TestSubscriberEviction(t *testing.T) {
 	o := detectors.Observation{X: make([]float64, 4)}
 	const obs = 50
 	for i := 0; i < obs; i++ {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +231,7 @@ func TestSubscriptionCloseDetaches(t *testing.T) {
 	}
 	o := detectors.Observation{X: make([]float64, 4)}
 	for i := 0; i < 10; i++ {
-		if err := m.Ingest("s", o); err != nil {
+		if err := ingestOne(m, "s", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -268,7 +263,7 @@ func TestFlushCheckpointsBarrier(t *testing.T) {
 	o := detectors.Observation{X: make([]float64, 8)}
 	for _, id := range []string{"a", "b", "c"} {
 		for i := 0; i < 40; i++ {
-			if err := m.Ingest(id, o); err != nil {
+			if err := ingestOne(m, id, o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -304,7 +299,7 @@ func TestFlushCheckpointsBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if err := m2.Ingest("only", o); err != nil {
+		if err := ingestOne(m2, "only", o); err != nil {
 			t.Fatal(err)
 		}
 	}

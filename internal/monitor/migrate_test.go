@@ -25,25 +25,17 @@ func TestExportImportEquivalence(t *testing.T) {
 	feed := func(m *Monitor, seg []detectors.Observation) {
 		t.Helper()
 		for _, o := range seg {
-			if err := m.Ingest("sensor-7", o); err != nil {
+			if err := ingestOne(m, "sensor-7", o); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	drain := func(m *Monitor) {
-		go func() {
-			for range m.Events() {
-			}
-		}()
-	}
-
 	// Control: one uninterrupted monitor.
 	var control driftCollector
 	cm, err := New(Config{Detector: ckptDetectorConfig(), Shards: 1, OnDrift: control.onDrift})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(cm)
 	feed(cm, obs)
 	if err := cm.FlushCheckpoints(); err != nil {
 		t.Fatal(err)
@@ -60,7 +52,6 @@ func TestExportImportEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(src)
 	feed(src, obs[:cut])
 	state, err := src.ExportStream("sensor-7")
 	if err != nil {
@@ -76,7 +67,6 @@ func TestExportImportEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain(dst)
 	if err := dst.ImportStream("sensor-7", state); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +127,7 @@ func TestExportFallsBackToStore(t *testing.T) {
 	}
 	defer m.Close()
 	for _, o := range ckptObs(4, 40, 6, 3) {
-		if err := m.Ingest("spilled", o); err != nil {
+		if err := ingestOne(m, "spilled", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +157,7 @@ func TestImportResidentStreamRefused(t *testing.T) {
 	defer m.Close()
 	obs := ckptObs(5, 60, 6, 3)
 	for _, o := range obs[:40] {
-		if err := m.Ingest("busy", o); err != nil {
+		if err := ingestOne(m, "busy", o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +183,7 @@ func TestStreamIDs(t *testing.T) {
 	defer m.Close()
 	obs := ckptObs(6, 3, 6, 3)
 	for _, id := range []string{"c-stream", "a-stream", "b-stream"} {
-		if err := m.Ingest(id, obs[0]); err != nil {
+		if err := ingestOne(m, id, obs[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +236,7 @@ func TestQueueHighWaterResetsOnFlush(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := p; i < len(obs); i += 4 {
-				_ = m.Ingest("hot", obs[i])
+				_ = ingestOne(m, "hot", obs[i])
 			}
 		}(p)
 	}

@@ -9,12 +9,13 @@
 //		Detector: core.Config{Features: 20, Classes: 5},
 //	})
 //	defer m.Close()
+//	sub, _ := m.Subscribe(0)
 //	go func() {
-//		for ev := range m.Events() {
+//		for ev := range sub.Events() {
 //			log.Printf("stream %s drifted on classes %v", ev.StreamID, ev.Classes)
 //		}
 //	}()
-//	m.Ingest("sensor-17", detectors.Observation{X: x, TrueClass: y, Predicted: p})
+//	m.IngestBatch("sensor-17", block) // block []detectors.Observation; one observation is a block of one
 //
 // Streams are placed on shards by consistent hashing of the stream ID
 // (FNV-1a + jump hash), so placement is deterministic, balanced, and maximally
@@ -23,9 +24,11 @@
 // drains a bounded MPSC ring buffer (see ring.go) of observations in
 // micro-batches: every wakeup pops whatever is queued (bounded), groups it
 // per stream, and hands each stream's run to its detector in one UpdateBatch
-// call. Producers with blocks of observations should use IngestBatch, which
-// moves a whole block through the queue in a single copied slab — one ring
-// slot per block. Because a stream lives on exactly one shard and the ring
+// call. IngestBatch (blocking) and TryIngestBatch (dropping) are the only
+// ingest verbs: a whole block moves through the queue in a single copied
+// slab — one ring slot per block, a single observation being a block of
+// one. Drift events fan out through Subscribe, one bounded queue per
+// consumer. Because a stream lives on exactly one shard and the ring
 // preserves per-producer FIFO order, a stream's observations reach its
 // detector in send order at any GOMAXPROCS: the parallel monitor's per-stream
 // drift decisions are identical to a sequential run's (ordering_test.go
@@ -77,12 +80,11 @@ type Config struct {
 	Shards int
 	// QueueSize is each shard's ring-buffer capacity in envelopes (an
 	// IngestBatch block occupies one envelope), rounded up to a power of
-	// two; default 1024. Ingest blocks when the target shard's ring is full
-	// (backpressure); TryIngest drops instead.
+	// two; default 1024. IngestBatch blocks when the target shard's ring is
+	// full (backpressure); TryIngestBatch drops instead.
 	QueueSize int
-	// EventBuffer is the capacity of the drift-event channel; default 256.
-	// Events are dropped (and counted) when the channel is full, so slow
-	// subscribers never stall detection.
+	// EventBuffer is the queue capacity of a Subscribe call that does not
+	// give one; default 256.
 	EventBuffer int
 	// SubscriberEvictDrops, when > 0, evicts a Subscribe fan-out queue once
 	// it has dropped this many events: the subscription is closed (its Events
@@ -103,8 +105,9 @@ type Config struct {
 	// beyond the cap are dropped and counted. Zero means unlimited.
 	MaxStreamsPerShard int
 	// OnDrift, when set, is invoked synchronously on the shard goroutine for
-	// every drift (before the event is offered to the channel). It must be
-	// fast and safe for concurrent invocation across shards.
+	// every drift (before the event is offered to the subscriptions). Unlike a
+	// subscription it never drops: it is the lossless hook. It must be fast
+	// and safe for concurrent invocation across shards.
 	OnDrift func(Event)
 	// Checkpoint enables detector-state persistence: periodic per-stream
 	// snapshots, spill (instead of drop) on Evict and idle GC, transparent
@@ -115,9 +118,9 @@ type Config struct {
 	// Telemetry selects the latency-instrumentation level. The zero value
 	// (telemetry.Full) times every monitor stage — shard queue-wait,
 	// detector update, checkpoint save and store put — into log2 histograms
-	// exported via Snapshot.Latency and WritePrometheus. telemetry.Basic and
-	// telemetry.Off skip the monitor-side stages. Telemetry never changes
-	// detection output: drift decisions are bit-identical at every level.
+	// exported via Snapshot.Latency and WritePrometheus. telemetry.Off skips
+	// them. Telemetry never changes detection output: drift decisions are
+	// bit-identical at every level.
 	Telemetry telemetry.Level
 }
 
@@ -180,7 +183,8 @@ type Event struct {
 	Record *core.DriftRecord
 }
 
-// ErrClosed is returned by Ingest/TryIngest/Evict after Close.
+// ErrClosed is returned by IngestBatch/TryIngestBatch/Evict/Subscribe after
+// Close.
 var ErrClosed = errors.New("monitor: closed")
 
 // Monitor is the sharded multi-stream drift-detection service. All methods
@@ -188,15 +192,12 @@ var ErrClosed = errors.New("monitor: closed")
 type Monitor struct {
 	cfg    Config
 	shards []*shard
-	events chan Event
 	start  time.Time
 
 	mu        sync.RWMutex // guards closed against in-flight sends
 	closed    bool
 	closeDone chan struct{} // closed once Close has fully torn down
 	wg        sync.WaitGroup
-
-	eventsDropped atomic.Uint64
 
 	// Event fan-out (Subscribe): every subscriber gets its own bounded
 	// queue, so one slow consumer drops its own events without stalling
@@ -218,7 +219,7 @@ type Monitor struct {
 	rehydrated  atomic.Uint64
 
 	// tele holds the monitor-side stage histograms; nil when
-	// Config.Telemetry disables monitor timing (Basic or Off).
+	// Config.Telemetry is Off.
 	tele *monitorTele
 	// lastDrift maps stream ID -> DriftReport of the stream's most recent
 	// drift (written on the shard goroutine in tally, read by LastDrift).
@@ -267,7 +268,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:       cfg,
-		events:    make(chan Event, cfg.EventBuffer),
 		closeDone: make(chan struct{}),
 		subs:      make(map[*Subscription]struct{}),
 		start:     time.Now(),
@@ -304,65 +304,30 @@ func New(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// Ingest routes one observation to the given stream's detector, creating the
-// detector on first sight. It blocks when the stream's shard queue is full
-// (backpressure) and returns ErrClosed after Close. The observation's X and
-// Scores slices are copied; callers may reuse their backing arrays
-// immediately.
-func (m *Monitor) Ingest(streamID string, o detectors.Observation) error {
-	s := m.shards[ShardFor(streamID, len(m.shards))]
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
-	s.send(envelope{op: opIngest, id: streamID, bat: s.copyOne(o)}, 1)
-	return nil
-}
-
 // IngestBatch routes a block of observations for one stream through a single
 // queue operation: all X and Scores slices are copied into one pooled slab,
 // the block travels as one envelope (one ring slot instead of len(obs)),
-// and the shard hands it to the stream's detector in one UpdateBatch call.
-// Per-stream observation order is preserved. Like Ingest it blocks when the
-// shard queue is full and returns ErrClosed after Close; callers may reuse
-// every backing array the moment it returns. An empty block is a no-op.
+// and the shard hands it to the stream's detector in one UpdateBatch call,
+// creating the detector on first sight. A single observation is a block of
+// one. Per-stream observation order is preserved. It blocks when the shard
+// queue is full (backpressure) and returns ErrClosed after Close; callers
+// may reuse every backing array the moment it returns. An empty block is a
+// no-op.
 func (m *Monitor) IngestBatch(streamID string, obs []detectors.Observation) error {
-	s := m.shards[ShardFor(streamID, len(m.shards))]
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
-	if len(obs) == 0 {
-		return nil
-	}
-	s.send(envelope{op: opIngest, id: streamID, bat: s.copyBatch(obs)}, len(obs))
-	return nil
-}
-
-// TryIngest is Ingest without backpressure: when the shard queue is full the
-// observation is dropped, counted, and false is returned.
-func (m *Monitor) TryIngest(streamID string, o detectors.Observation) (bool, error) {
-	s := m.shards[ShardFor(streamID, len(m.shards))]
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return false, ErrClosed
-	}
-	env := envelope{op: opIngest, id: streamID, bat: s.copyOne(o)}
-	if s.trySend(env, 1) {
-		return true, nil
-	}
-	s.pool.Put(env.bat)
-	s.dropped.Add(1)
-	return false, nil
+	_, err := m.ingest(streamID, obs, false)
+	return err
 }
 
 // TryIngestBatch is IngestBatch without backpressure: when the shard queue
 // is full the whole block is dropped, its observations counted as dropped,
 // and false is returned.
 func (m *Monitor) TryIngestBatch(streamID string, obs []detectors.Observation) (bool, error) {
+	return m.ingest(streamID, obs, true)
+}
+
+// ingest is the body of both ingest verbs; try selects dropping over
+// blocking on a full shard queue.
+func (m *Monitor) ingest(streamID string, obs []detectors.Observation, try bool) (bool, error) {
 	s := m.shards[ShardFor(streamID, len(m.shards))]
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -373,7 +338,7 @@ func (m *Monitor) TryIngestBatch(streamID string, obs []detectors.Observation) (
 		return true, nil
 	}
 	env := envelope{op: opIngest, id: streamID, bat: s.copyBatch(obs)}
-	if s.trySend(env, len(obs)) {
+	if s.send(env, len(obs), try) {
 		return true, nil
 	}
 	s.pool.Put(env.bat)
@@ -400,12 +365,6 @@ func (m *Monitor) Evict(streamID string) error {
 	s.in.push(envelope{op: opEvict, id: streamID})
 	return nil
 }
-
-// Events returns the drift-event channel. It is closed by Close after all
-// shards drain, so a range loop over it terminates cleanly. For multiple
-// independent consumers use Subscribe, which gives each its own bounded
-// queue and drop accounting.
-func (m *Monitor) Events() <-chan Event { return m.events }
 
 // Subscription is one subscriber's private, bounded drift-event queue (see
 // Monitor.Subscribe). Events that arrive while the queue is full are dropped
@@ -453,11 +412,11 @@ func (s *Subscription) close(evicted bool) {
 
 // Subscribe registers a new drift-event subscriber with its own queue of the
 // given capacity (<= 0 selects Config.EventBuffer). Every subscriber
-// receives every event, independently of the shared Events channel; a
-// subscriber that falls behind drops its own events (counted per
-// subscription and in Snapshot.SubscriberDropped) without affecting anyone
-// else — the fan-out shape the network server needs, one subscription per
-// subscribed connection. Returns ErrClosed after Close.
+// receives every event published after it subscribed; a subscriber that
+// falls behind drops its own events (counted per subscription and in
+// Snapshot.SubscriberDropped) without affecting anyone else — the fan-out
+// shape the network server needs, one subscription per subscribed
+// connection. Returns ErrClosed after Close.
 func (m *Monitor) Subscribe(buffer int) (*Subscription, error) {
 	if buffer <= 0 {
 		buffer = m.cfg.EventBuffer
@@ -473,10 +432,9 @@ func (m *Monitor) Subscribe(buffer int) (*Subscription, error) {
 }
 
 // Close stops ingestion, drains every shard queue, waits for the workers to
-// exit, and closes the event channel and every subscription. It is
-// idempotent, and a concurrent second Close blocks until the teardown is
-// complete — callers never observe a Close that returned while events were
-// still being delivered.
+// exit, and closes every subscription. It is idempotent, and a concurrent
+// second Close blocks until the teardown is complete — callers never
+// observe a Close that returned while events were still being delivered.
 func (m *Monitor) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -512,7 +470,6 @@ func (m *Monitor) Close() {
 	for _, sub := range subs {
 		sub.Close()
 	}
-	close(m.events)
 	close(m.closeDone)
 }
 
@@ -520,7 +477,7 @@ func (m *Monitor) Close() {
 // dirty stream's detector state to the checkpoint Store, returning once the
 // writes have durably reached the Store. Because the flush request travels
 // each shard's queue like any observation, it doubles as a full processing
-// barrier: every Ingest/IngestBatch/Evict that happened-before the call has
+// barrier: every IngestBatch/TryIngestBatch/Evict that happened-before the call has
 // been applied when it returns, with or without checkpointing configured
 // (without a Store it is only the barrier). Returns ErrClosed after Close
 // (which performs the same flush itself).
@@ -549,17 +506,12 @@ func (m *Monitor) FlushCheckpoints() error {
 	return nil
 }
 
-// publish offers a drift event to the shared Events channel and to every
-// subscription, dropping per receiver when a queue is full so shards never
-// stall on a slow consumer.
+// publish hands a drift event to OnDrift and offers it to every
+// subscription, dropping per subscriber when its queue is full so shards
+// never stall on a slow consumer.
 func (m *Monitor) publish(ev Event) {
 	if m.cfg.OnDrift != nil {
 		m.cfg.OnDrift(ev)
-	}
-	select {
-	case m.events <- ev:
-	default:
-		m.eventsDropped.Add(1)
 	}
 	limit := uint64(m.cfg.SubscriberEvictDrops)
 	var evict []*Subscription
@@ -592,15 +544,14 @@ type Snapshot struct {
 	// DriftsByClass breaks drifts down by attributed class (nil when the
 	// class count is unknown, i.e. a custom factory without Detector.Classes).
 	DriftsByClass []uint64
-	// Dropped counts observations dropped by TryIngest / TryIngestBatch on
-	// full shard queues; EventsDropped counts drift events dropped on the
-	// full event channel; IdleEvicted counts idle-GC evictions; StreamErrors
+	// Dropped counts observations dropped by TryIngestBatch on full shard
+	// queues; IdleEvicted counts idle-GC evictions; StreamErrors
 	// counts observations rejected by detector-factory failures and
 	// per-shard stream-cap limits (MaxStreamsPerShard), plus Evict calls for
 	// streams that were not resident (see Evict).
-	Dropped, EventsDropped, IdleEvicted, StreamErrors uint64
+	Dropped, IdleEvicted, StreamErrors uint64
 	// Received counts observations accepted into shard ring queues (every
-	// Ingest/IngestBatch plus successful Try* calls); Rejected counts
+	// IngestBatch plus successful TryIngestBatch calls); Rejected counts
 	// received observations refused at processing time (factory failures and
 	// stream caps — the observation portion of StreamErrors); Queued is the
 	// number received but not yet resolved, sampled across the shard rings.
@@ -657,7 +608,7 @@ type Snapshot struct {
 	// buckets plus p50/p95/p99), sorted by stage name. Monitor stages are
 	// queue_wait, detector_update, checkpoint_save, checkpoint_put; the
 	// network server overlays its serve_* stages onto its Snapshot reply.
-	// Empty when Config.Telemetry is Basic or Off. MergeSnapshots merges
+	// Empty when Config.Telemetry is Off. MergeSnapshots merges
 	// same-named stages bucket-wise, so fleet views keep true quantiles.
 	Latency []telemetry.Stage
 }
@@ -667,7 +618,6 @@ type Snapshot struct {
 func (m *Monitor) Snapshot() Snapshot {
 	sn := Snapshot{
 		Shards:             len(m.shards),
-		EventsDropped:      m.eventsDropped.Load(),
 		Checkpoints:        m.checkpoints.Load(),
 		CheckpointErrors:   m.ckptErrors.Load(),
 		Rehydrated:         m.rehydrated.Load(),
@@ -763,7 +713,7 @@ const (
 	opList
 )
 
-// batchBuf is the pooled carrier of one Ingest/IngestBatch call: the copied
+// batchBuf is the pooled carrier of one ingested block: the copied
 // observations, whose X and Scores slices view slab — one allocation-free
 // block per queue hop instead of one pooled buffer per observation.
 type batchBuf struct {
@@ -862,26 +812,20 @@ type shard struct {
 	queued   atomic.Int64
 }
 
-// send pushes an envelope carrying n observations, blocking on a full ring
-// (the Ingest/IngestBatch backpressure path). Counters move before the push
-// so a concurrent Snapshot never sees queued dip below zero on this path.
-func (s *shard) send(env envelope, n int) {
+// send pushes an envelope carrying n observations. On a full ring it blocks
+// (backpressure), or with try set rolls the counters back and returns false
+// (the caller counts the drop). Counters move before the push so a
+// concurrent Snapshot never sees queued dip below zero on the blocking path.
+func (s *shard) send(env envelope, n int, try bool) bool {
 	if s.m.tele != nil {
 		env.at = telemetry.Now()
 	}
 	s.received.Add(uint64(n))
 	s.queued.Add(int64(n))
-	s.in.push(env)
-}
-
-// trySend is send without backpressure: on a full ring the counters are
-// rolled back and false returned (the caller counts the drop).
-func (s *shard) trySend(env envelope, n int) bool {
-	if s.m.tele != nil {
-		env.at = telemetry.Now()
+	if !try {
+		s.in.push(env)
+		return true
 	}
-	s.received.Add(uint64(n))
-	s.queued.Add(int64(n))
 	if s.in.tryPush(env) {
 		return true
 	}
@@ -903,23 +847,6 @@ func appendObs(slab []float64, o detectors.Observation) ([]float64, detectors.Ob
 		o.Scores = slab[start:len(slab):len(slab)]
 	}
 	return slab, o
-}
-
-// copyOne copies a single observation into a pooled batchBuf so callers can
-// reuse their slices the moment Ingest returns (steady state allocates
-// nothing).
-func (s *shard) copyOne(o detectors.Observation) *batchBuf {
-	bat := s.pool.Get().(*batchBuf)
-	if need := len(o.X) + len(o.Scores); cap(bat.slab) < need {
-		bat.slab = make([]float64, 0, need)
-	}
-	bat.slab = bat.slab[:0]
-	if cap(bat.obs) < 1 {
-		bat.obs = make([]detectors.Observation, 0, 16)
-	}
-	bat.obs = bat.obs[:1]
-	bat.slab, bat.obs[0] = appendObs(bat.slab, o)
-	return bat
 }
 
 // copyBatch copies a block of observations into one pooled slab.

@@ -20,6 +20,11 @@ func testConfig(shards int) Config {
 	}
 }
 
+// ingestOne ingests a single observation: a block of one.
+func ingestOne(m *Monitor, id string, o detectors.Observation) error {
+	return m.IngestBatch(id, []detectors.Observation{o})
+}
+
 func TestShardPlacementIsDeterministicAndBalanced(t *testing.T) {
 	const shards, streams = 8, 4096
 	counts := make([]int, shards)
@@ -79,7 +84,7 @@ func TestConcurrentIngestAcrossShards(t *testing.T) {
 			id := fmt.Sprintf("producer-%d", p)
 			for i := 0; i < perStream; i++ {
 				in := gen.Next()
-				if err := m.Ingest(id, detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}); err != nil {
+				if err := ingestOne(m, id, detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}); err != nil {
 					t.Errorf("ingest: %v", err)
 					return
 				}
@@ -118,7 +123,7 @@ func TestIngestCopiesFeatureVector(t *testing.T) {
 		for j := range x {
 			x[j] = float64(i + j)
 		}
-		if err := m.Ingest("reused-buffer", detectors.Observation{X: x, TrueClass: i % 3, Predicted: i % 3}); err != nil {
+		if err := ingestOne(m, "reused-buffer", detectors.Observation{X: x, TrueClass: i % 3, Predicted: i % 3}); err != nil {
 			t.Fatal(err)
 		}
 		// Immediately clobber the caller-owned buffer: the monitor must have
@@ -172,18 +177,22 @@ func TestPerStreamIsolationOfDriftSignals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub, err := m.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var events []Event
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for ev := range m.Events() {
+		for ev := range sub.Events() {
 			events = append(events, ev)
 		}
 	}()
 	x := []float64{0.5}
 	for i := 0; i < 100; i++ {
 		for _, id := range []string{"noisy", "quiet"} {
-			if err := m.Ingest(id, detectors.Observation{X: x, TrueClass: 0, Predicted: 0}); err != nil {
+			if err := ingestOne(m, id, detectors.Observation{X: x, TrueClass: 0, Predicted: 0}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -221,14 +230,14 @@ func TestIdleStreamEviction(t *testing.T) {
 	defer m.Close()
 	x := make([]float64, 8)
 	for i := 0; i < 4; i++ {
-		if err := m.Ingest(fmt.Sprintf("ephemeral-%d", i), detectors.Observation{X: x}); err != nil {
+		if err := ingestOne(m, fmt.Sprintf("ephemeral-%d", i), detectors.Observation{X: x}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Keep one stream warm while the others age out.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := m.Ingest("persistent", detectors.Observation{X: x}); err != nil {
+		if err := ingestOne(m, "persistent", detectors.Observation{X: x}); err != nil {
 			t.Fatal(err)
 		}
 		if m.Streams() == 1 {
@@ -262,13 +271,13 @@ func TestExplicitEvictAndRecreate(t *testing.T) {
 	}
 	x := []float64{1}
 	obs := detectors.Observation{X: x}
-	if err := m.Ingest("s", obs); err != nil {
+	if err := ingestOne(m, "s", obs); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Evict("s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Ingest("s", obs); err != nil {
+	if err := ingestOne(m, "s", obs); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -285,19 +294,27 @@ func TestCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub, err := m.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Close()
 	m.Close() // idempotent
-	if err := m.Ingest("s", detectors.Observation{X: make([]float64, 8)}); err != ErrClosed {
-		t.Fatalf("Ingest after Close = %v, want ErrClosed", err)
+	one := []detectors.Observation{{X: make([]float64, 8)}}
+	if err := m.IngestBatch("s", one); err != ErrClosed {
+		t.Fatalf("IngestBatch after Close = %v, want ErrClosed", err)
 	}
-	if _, err := m.TryIngest("s", detectors.Observation{X: make([]float64, 8)}); err != ErrClosed {
-		t.Fatalf("TryIngest after Close = %v, want ErrClosed", err)
+	if _, err := m.TryIngestBatch("s", one); err != ErrClosed {
+		t.Fatalf("TryIngestBatch after Close = %v, want ErrClosed", err)
+	}
+	if _, err := m.Subscribe(0); err != ErrClosed {
+		t.Fatalf("Subscribe after Close = %v, want ErrClosed", err)
 	}
 	if err := m.Evict("s"); err != ErrClosed {
 		t.Fatalf("Evict after Close = %v, want ErrClosed", err)
 	}
-	if _, ok := <-m.Events(); ok {
-		t.Fatal("event channel should be closed after Close")
+	if _, ok := <-sub.Events(); ok {
+		t.Fatal("subscription channel should be closed after Close")
 	}
 }
 
@@ -330,7 +347,7 @@ func TestOnDriftCallback(t *testing.T) {
 	}
 	x := []float64{0}
 	for i := 0; i < 25; i++ {
-		if err := m.Ingest("cb", detectors.Observation{X: x}); err != nil {
+		if err := ingestOne(m, "cb", detectors.Observation{X: x}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,11 +378,15 @@ func TestEndToEndDriftDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub, err := m.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	drifted := make(map[string]bool)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for ev := range m.Events() {
+		for ev := range sub.Events() {
 			drifted[ev.StreamID] = true
 		}
 	}()
@@ -385,7 +406,7 @@ func TestEndToEndDriftDetection(t *testing.T) {
 		id := fmt.Sprintf("feed-%d", s)
 		for i := 0; i < 12000; i++ {
 			in := src.Next()
-			if err := m.Ingest(id, detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}); err != nil {
+			if err := ingestOne(m, id, detectors.Observation{X: in.X, TrueClass: in.Y, Predicted: in.Y}); err != nil {
 				t.Fatal(err)
 			}
 		}

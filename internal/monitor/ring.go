@@ -1,7 +1,7 @@
 package monitor
 
 // Bounded MPSC ring buffer — the shard ingest queue. Replaces the previous
-// buffered-channel queues: many producer goroutines (Ingest/IngestBatch
+// buffered-channel queues: many producer goroutines (IngestBatch
 // callers, server connections) push envelopes concurrently, exactly one
 // consumer (the shard goroutine) drains them, and per-producer FIFO order is
 // preserved — the property the ordering-equivalence guarantee rests on
@@ -147,7 +147,7 @@ func (r *ring) tryPush(env envelope) bool {
 const pushSpins = 64
 
 // push enqueues, blocking while the ring is full — the backpressure path of
-// Ingest/IngestBatch. It always succeeds.
+// IngestBatch. It always succeeds.
 func (r *ring) push(env envelope) {
 	for i := 0; i < pushSpins; i++ {
 		if r.tryPush(env) {

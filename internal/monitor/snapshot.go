@@ -3,150 +3,15 @@ package monitor
 import (
 	"fmt"
 	"io"
-	"strconv"
 
 	"rbmim/internal/telemetry"
 )
 
-// Snapshot has two canonical text encodings, shared by every consumer
-// (the server's Snapshot reply and /metrics endpoint, monitorbench -json,
-// driftserver's shutdown report) instead of each printing its own:
-//
-//   - AppendJSON / MarshalJSON: one JSON object whose keys are the Go field
-//     names in declaration order, so the encoding is byte-stable for a given
-//     snapshot and round-trips through encoding/json.Unmarshal;
-//   - WritePrometheus: the Prometheus text exposition format under the
-//     rbmim_ metric prefix, with per-class and per-shard breakdowns as
-//     labelled series.
-
-// AppendJSON appends the canonical JSON encoding of the snapshot to b and
-// returns the extended slice. Field order is the struct declaration order;
-// Uptime is encoded as integer nanoseconds (time.Duration's underlying
-// representation, which stdlib Unmarshal accepts).
-func (s Snapshot) AppendJSON(b []byte) []byte {
-	field := func(name string) {
-		if b[len(b)-1] != '{' {
-			b = append(b, ',')
-		}
-		b = append(b, '"')
-		b = append(b, name...)
-		b = append(b, '"', ':')
-	}
-	num := func(name string, v int64) {
-		field(name)
-		b = strconv.AppendInt(b, v, 10)
-	}
-	unum := func(name string, v uint64) {
-		field(name)
-		b = strconv.AppendUint(b, v, 10)
-	}
-	unums := func(name string, vs []uint64) {
-		field(name)
-		if vs == nil {
-			b = append(b, "null"...)
-			return
-		}
-		b = append(b, '[')
-		for i, v := range vs {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendUint(b, v, 10)
-		}
-		b = append(b, ']')
-	}
-
-	b = append(b, '{')
-	num("Shards", int64(s.Shards))
-	num("Streams", int64(s.Streams))
-	unum("Ingested", s.Ingested)
-	unum("Drifts", s.Drifts)
-	unum("Warnings", s.Warnings)
-	unums("DriftsByClass", s.DriftsByClass)
-	unum("Dropped", s.Dropped)
-	unum("EventsDropped", s.EventsDropped)
-	unum("IdleEvicted", s.IdleEvicted)
-	unum("StreamErrors", s.StreamErrors)
-	unum("Received", s.Received)
-	unum("Rejected", s.Rejected)
-	unum("Queued", s.Queued)
-	num("QueueCap", int64(s.QueueCap))
-	unum("QueueHighWater", s.QueueHighWater)
-	unum("Checkpoints", s.Checkpoints)
-	unum("CheckpointErrors", s.CheckpointErrors)
-	unum("Rehydrated", s.Rehydrated)
-	num("Subscribers", int64(s.Subscribers))
-	unum("SubscriberDropped", s.SubscriberDropped)
-	unum("SubscribersEvicted", s.SubscribersEvicted)
-	unum("InFlightHighWater", s.InFlightHighWater)
-	unum("RepliesCoalesced", s.RepliesCoalesced)
-	unum("Shedded", s.Shedded)
-	unum("DedupHits", s.DedupHits)
-	field("ShardStreams")
-	if s.ShardStreams == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range s.ShardStreams {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		b = append(b, ']')
-	}
-	unums("ShardIngested", s.ShardIngested)
-	num("Uptime", int64(s.Uptime))
-	field("InstancesPerSec")
-	b = strconv.AppendFloat(b, s.InstancesPerSec, 'g', -1, 64)
-	field("Latency")
-	if s.Latency == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i := range s.Latency {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			st := &s.Latency[i]
-			b = append(b, `{"Stage":`...)
-			b = strconv.AppendQuote(b, st.Stage)
-			b = append(b, `,"Count":`...)
-			b = strconv.AppendUint(b, st.Count, 10)
-			b = append(b, `,"SumNS":`...)
-			b = strconv.AppendInt(b, st.SumNS, 10)
-			b = append(b, `,"P50NS":`...)
-			b = strconv.AppendInt(b, st.P50NS, 10)
-			b = append(b, `,"P95NS":`...)
-			b = strconv.AppendInt(b, st.P95NS, 10)
-			b = append(b, `,"P99NS":`...)
-			b = strconv.AppendInt(b, st.P99NS, 10)
-			b = append(b, `,"Buckets":`...)
-			if st.Buckets == nil {
-				b = append(b, "null"...)
-			} else {
-				b = append(b, '[')
-				for j, v := range st.Buckets {
-					if j > 0 {
-						b = append(b, ',')
-					}
-					b = strconv.AppendUint(b, v, 10)
-				}
-				b = append(b, ']')
-			}
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	b = append(b, '}')
-	return b
-}
-
-// MarshalJSON implements json.Marshaler with the canonical stable-field-order
-// encoding (see AppendJSON).
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	return s.AppendJSON(nil), nil
-}
+// Snapshot's JSON encoding is plain encoding/json: keys are the Go field
+// names in declaration order, Uptime is integer nanoseconds, and the bytes
+// are stable for a given snapshot (TestSnapshotJSONStableFieldOrder pins
+// it). WritePrometheus is the text exposition under the rbmim_ prefix, with
+// per-class and per-shard breakdowns as labelled series.
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (version 0.0.4) under the rbmim_ prefix — the payload of the
@@ -173,13 +38,12 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "rbmim_drifts_by_class_total{class=\"%d\"} %d\n", k, v)
 		}
 	}
-	emit("rbmim_dropped_total", "Observations dropped by TryIngest on full shard queues.", "counter", float64(s.Dropped))
+	emit("rbmim_dropped_total", "Observations dropped by TryIngestBatch on full shard queues.", "counter", float64(s.Dropped))
 	emit("rbmim_received_total", "Observations accepted into shard ring queues.", "counter", float64(s.Received))
 	emit("rbmim_rejected_total", "Received observations refused at processing time (factory failures, stream caps).", "counter", float64(s.Rejected))
 	emit("rbmim_queued", "Observations received but not yet processed, sampled across shard rings.", "gauge", float64(s.Queued))
 	emit("rbmim_queue_capacity", "Per-shard ring capacity in envelopes.", "gauge", float64(s.QueueCap))
 	emit("rbmim_queue_high_water", "Largest per-shard ring occupancy observed since the last checkpoint-flush barrier, in envelopes.", "gauge", float64(s.QueueHighWater))
-	emit("rbmim_events_dropped_total", "Drift events dropped on the full shared event channel.", "counter", float64(s.EventsDropped))
 	emit("rbmim_idle_evicted_total", "Streams evicted by idle GC.", "counter", float64(s.IdleEvicted))
 	emit("rbmim_stream_errors_total", "Observations rejected by factory failures, stream caps, and evicts of non-resident streams.", "counter", float64(s.StreamErrors))
 	emit("rbmim_checkpoints_total", "Detector snapshots written to the checkpoint store.", "counter", float64(s.Checkpoints))
@@ -248,7 +112,6 @@ func MergeSnapshots(sns ...Snapshot) Snapshot {
 			out.DriftsByClass[k] += v
 		}
 		out.Dropped += s.Dropped
-		out.EventsDropped += s.EventsDropped
 		out.IdleEvicted += s.IdleEvicted
 		out.StreamErrors += s.StreamErrors
 		out.Received += s.Received

@@ -79,9 +79,9 @@ func TestConcurrentSoakWithConservation(t *testing.T) {
 					}
 				default:
 					attempted.Add(1)
-					ok, err := m.TryIngest(id, obs[0])
+					ok, err := m.TryIngestBatch(id, []detectors.Observation{obs[0]})
 					if err != nil {
-						t.Errorf("TryIngest: %v", err)
+						t.Errorf("TryIngestBatch: %v", err)
 						return
 					}
 					if ok {

@@ -36,11 +36,15 @@ func driftTrace(t *testing.T, level telemetry.Level) ([]string, Snapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub, err := m.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var trace []string
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for ev := range m.Events() {
+		for ev := range sub.Events() {
 			trace = append(trace, fmt.Sprintf("%s/%d%v", ev.StreamID, ev.Seq, ev.Classes))
 		}
 	}()

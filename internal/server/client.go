@@ -34,31 +34,12 @@ var ErrClientClosed = errors.New("server: client closed")
 // server applies the monitor's blocking backpressure, so a full shard queue
 // delays the reply rather than dropping data. A Busy reply (overload shed)
 // is retried with backoff up to RetryPolicy.BusyAttempts — with the same
-// sequence number, so the eventual commit is exactly once.
+// sequence number, so the eventual commit is exactly once. In the server
+// the observation is a block of one; on the wire it keeps its own compact
+// request kind.
 func (c *Client) Ingest(streamID string, o detectors.Observation) error {
-	return c.ingestSeq(streamID, o, c.seqs.next(streamID))
-}
-
-// ingestSeq is Ingest at a fixed sequence number: the Busy-retry loop, and
-// ClientPool's failover resend (same seq on a different connection).
-func (c *Client) ingestSeq(streamID string, o detectors.Observation, seq uint64) error {
-	backoff := c.policy.BusyBackoff
-	for attempt := 0; ; attempt++ {
-		p, err := c.ingestAsyncSeq(streamID, o, seq)
-		if err != nil {
-			return err
-		}
-		err = p.Wait()
-		if err == nil || Classify(err) != ClassBusy || attempt >= c.policy.BusyAttempts {
-			return err
-		}
-		if !c.pause(jitter(backoff)) {
-			return c.sticky()
-		}
-		if backoff *= 2; backoff > c.policy.BackoffMax {
-			backoff = c.policy.BackoffMax
-		}
-	}
+	one := [1]detectors.Observation{o}
+	return c.ingestSeq(codec.KindWireIngest, streamID, one[:], c.seqs.next(streamID))
 }
 
 // IngestAsync sends one observation without waiting for its ack, returning a
@@ -67,22 +48,8 @@ func (c *Client) ingestSeq(streamID string, o detectors.Observation, seq uint64)
 // goroutine reach the server in call order. Busy replies are not retried on
 // the async path — Wait surfaces ErrBusy and the caller decides.
 func (c *Client) IngestAsync(streamID string, o detectors.Observation) (Pending, error) {
-	return c.ingestAsyncSeq(streamID, o, c.seqs.next(streamID))
-}
-
-func (c *Client) ingestAsyncSeq(streamID string, o detectors.Observation, seq uint64) (Pending, error) {
-	slot, err := c.acquire()
-	if err != nil {
-		return Pending{}, err
-	}
-	p := c.asyncAck(slot)
-	b := c.beginCall(slot, codec.KindWireIngest)
-	b.U64(c.session)
-	b.U64(seq)
-	b.Str(streamID)
-	encodeObs(b, o)
-	c.submit(slot)
-	return p, nil
+	one := [1]detectors.Observation{o}
+	return c.ingestAsyncSeq(codec.KindWireIngest, streamID, one[:], c.seqs.next(streamID))
 }
 
 // IngestBatch sends a block of observations for one stream in a single
@@ -90,27 +57,7 @@ func (c *Client) ingestAsyncSeq(streamID string, o detectors.Observation, seq ui
 // waits for the ack. Steady state allocates nothing on either side. An
 // empty block is a no-op. Busy replies retry like Ingest's.
 func (c *Client) IngestBatch(streamID string, obs []detectors.Observation) error {
-	return c.ingestBatchSeq(streamID, obs, c.seqs.next(streamID))
-}
-
-func (c *Client) ingestBatchSeq(streamID string, obs []detectors.Observation, seq uint64) error {
-	backoff := c.policy.BusyBackoff
-	for attempt := 0; ; attempt++ {
-		p, err := c.ingestBatchAsyncSeq(streamID, obs, seq)
-		if err != nil {
-			return err
-		}
-		err = p.Wait()
-		if err == nil || Classify(err) != ClassBusy || attempt >= c.policy.BusyAttempts {
-			return err
-		}
-		if !c.pause(jitter(backoff)) {
-			return c.sticky()
-		}
-		if backoff *= 2; backoff > c.policy.BackoffMax {
-			backoff = c.policy.BackoffMax
-		}
-	}
+	return c.ingestSeq(codec.KindWireIngestBatch, streamID, obs, c.seqs.next(streamID))
 }
 
 // IngestBatchAsync is IngestBatch without waiting for the ack — the
@@ -118,18 +65,7 @@ func (c *Client) ingestBatchSeq(streamID string, obs []detectors.Observation, se
 // connection streams frames back to back instead of idling a round trip
 // between blocks.
 func (c *Client) IngestBatchAsync(streamID string, obs []detectors.Observation) (Pending, error) {
-	return c.ingestBatchAsyncSeq(streamID, obs, c.seqs.next(streamID))
-}
-
-func (c *Client) ingestBatchAsyncSeq(streamID string, obs []detectors.Observation, seq uint64) (Pending, error) {
-	slot, err := c.acquire()
-	if err != nil {
-		return Pending{}, err
-	}
-	p := c.asyncAck(slot)
-	c.encodeBatch(slot, codec.KindWireIngestBatch, streamID, obs, seq)
-	c.submit(slot)
-	return p, nil
+	return c.ingestAsyncSeq(codec.KindWireIngestBatch, streamID, obs, c.seqs.next(streamID))
 }
 
 // TryIngestBatch is IngestBatch without blocking backpressure: a full shard
@@ -143,7 +79,7 @@ func (c *Client) TryIngestBatch(streamID string, obs []detectors.Observation) (b
 	if err != nil {
 		return false, err
 	}
-	c.encodeBatch(slot, codec.KindWireTryIngestBatch, streamID, obs, c.seqs.next(streamID))
+	c.encodeIngest(slot, codec.KindWireTryIngestBatch, streamID, obs, c.seqs.next(streamID))
 	c.submit(slot)
 	cl, err := c.await(slot)
 	if err != nil {
@@ -160,11 +96,54 @@ func (c *Client) TryIngestBatch(streamID string, obs []detectors.Observation) (b
 	return err == nil, err
 }
 
-func (c *Client) encodeBatch(slot uint32, kind uint8, streamID string, obs []detectors.Observation, seq uint64) {
+// ingestSeq is a blocking ingest of kind KindWireIngest or
+// KindWireIngestBatch at a fixed sequence number: the Busy-retry loop behind
+// Ingest and IngestBatch, and ClientPool's failover resend (same seq on a
+// different connection).
+func (c *Client) ingestSeq(kind uint8, streamID string, obs []detectors.Observation, seq uint64) error {
+	backoff := c.policy.BusyBackoff
+	for attempt := 0; ; attempt++ {
+		p, err := c.ingestAsyncSeq(kind, streamID, obs, seq)
+		if err != nil {
+			return err
+		}
+		err = p.Wait()
+		if err == nil || Classify(err) != ClassBusy || attempt >= c.policy.BusyAttempts {
+			return err
+		}
+		if !c.pause(jitter(backoff)) {
+			return c.sticky()
+		}
+		if backoff *= 2; backoff > c.policy.BackoffMax {
+			backoff = c.policy.BackoffMax
+		}
+	}
+}
+
+// ingestAsyncSeq acquires a window slot, encodes the ingest request into it,
+// and submits it without waiting.
+func (c *Client) ingestAsyncSeq(kind uint8, streamID string, obs []detectors.Observation, seq uint64) (Pending, error) {
+	slot, err := c.acquire()
+	if err != nil {
+		return Pending{}, err
+	}
+	p := c.asyncAck(slot)
+	c.encodeIngest(slot, kind, streamID, obs, seq)
+	c.submit(slot)
+	return p, nil
+}
+
+// encodeIngest builds an ingest request frame in slot: KindWireIngest
+// carries exactly obs[0], the batch kinds a counted block.
+func (c *Client) encodeIngest(slot uint32, kind uint8, streamID string, obs []detectors.Observation, seq uint64) {
 	b := c.beginCall(slot, kind)
 	b.U64(c.session)
 	b.U64(seq)
 	b.Str(streamID)
+	if kind == codec.KindWireIngest {
+		encodeObs(b, obs[0])
+		return
+	}
 	b.U32(uint32(len(obs)))
 	for i := range obs {
 		encodeObs(b, obs[i])

@@ -181,9 +181,11 @@ func (cc *ClusterClient) Members() []string {
 // Migrations returns how many stream migrations this client has completed.
 func (cc *ClusterClient) Migrations() uint64 { return cc.migrations.Load() }
 
-// Ingest routes one observation to the stream's member and waits for the
-// ack (Client.Ingest semantics through the member's pool).
-func (cc *ClusterClient) Ingest(streamID string, o detectors.Observation) error {
+// viaOwner runs call against streamID's member pool with the stream's
+// migration gate read-locked for the duration, so a concurrent Migrate can
+// neither split the call across nodes nor answer from the wrong one. Every
+// per-stream request goes through it.
+func (cc *ClusterClient) viaOwner(streamID string, call func(*ClientPool) error) error {
 	g := cc.gate(streamID)
 	g.RLock()
 	defer g.RUnlock()
@@ -191,75 +193,68 @@ func (cc *ClusterClient) Ingest(streamID string, o detectors.Observation) error 
 	if err != nil {
 		return err
 	}
-	return p.Ingest(streamID, o)
+	return call(p)
+}
+
+// Ingest routes one observation to the stream's member and waits for the
+// ack (Client.Ingest semantics through the member's pool).
+func (cc *ClusterClient) Ingest(streamID string, o detectors.Observation) error {
+	return cc.viaOwner(streamID, func(p *ClientPool) error { return p.Ingest(streamID, o) })
 }
 
 // IngestAsync routes one observation without waiting for its ack. The
 // migration gate is held only for the submission: the request is pipelined
 // on the stream's connection, and a later migration on that connection
 // queues behind it, so the observation is applied before any export.
-func (cc *ClusterClient) IngestAsync(streamID string, o detectors.Observation) (Pending, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return Pending{}, err
-	}
-	return p.IngestAsync(streamID, o)
+func (cc *ClusterClient) IngestAsync(streamID string, o detectors.Observation) (pd Pending, err error) {
+	err = cc.viaOwner(streamID, func(p *ClientPool) (err error) {
+		pd, err = p.IngestAsync(streamID, o)
+		return err
+	})
+	return pd, err
 }
 
 // IngestBatch routes a block to the stream's member and waits for the ack.
 func (cc *ClusterClient) IngestBatch(streamID string, obs []detectors.Observation) error {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return err
-	}
-	return p.IngestBatch(streamID, obs)
+	return cc.viaOwner(streamID, func(p *ClientPool) error { return p.IngestBatch(streamID, obs) })
 }
 
 // IngestBatchAsync routes a block without waiting for its ack (see
 // IngestAsync for the gate semantics).
-func (cc *ClusterClient) IngestBatchAsync(streamID string, obs []detectors.Observation) (Pending, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return Pending{}, err
-	}
-	return p.IngestBatchAsync(streamID, obs)
+func (cc *ClusterClient) IngestBatchAsync(streamID string, obs []detectors.Observation) (pd Pending, err error) {
+	err = cc.viaOwner(streamID, func(p *ClientPool) (err error) {
+		pd, err = p.IngestBatchAsync(streamID, obs)
+		return err
+	})
+	return pd, err
 }
 
 // TryIngestBatch routes a block without blocking backpressure: a full or
 // shedding member surfaces as (false, nil), exactly like
 // Client.TryIngestBatch.
-func (cc *ClusterClient) TryIngestBatch(streamID string, obs []detectors.Observation) (bool, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return false, err
-	}
-	return p.TryIngestBatch(streamID, obs)
+func (cc *ClusterClient) TryIngestBatch(streamID string, obs []detectors.Observation) (accepted bool, err error) {
+	err = cc.viaOwner(streamID, func(p *ClientPool) (err error) {
+		accepted, err = p.TryIngestBatch(streamID, obs)
+		return err
+	})
+	return accepted, err
 }
 
 // Evict routes the eviction to the stream's member (Client.Evict
 // semantics); a pinned override for the evicted stream is left in place, so
 // a re-ingest rehydrates where the state was spilled.
 func (cc *ClusterClient) Evict(streamID string) error {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
+	return cc.viaOwner(streamID, func(p *ClientPool) error { return p.Evict(streamID) })
+}
+
+// LastDrift fetches the most recent drift report for a stream from the
+// member that owns it (see Client.LastDrift).
+func (cc *ClusterClient) LastDrift(streamID string) (rep monitor.DriftReport, found bool, err error) {
+	err = cc.viaOwner(streamID, func(p *ClientPool) (err error) {
+		rep, found, err = p.LastDrift(streamID)
 		return err
-	}
-	return p.Evict(streamID)
+	})
+	return rep, found, err
 }
 
 // FlushCheckpoints flushes every member (ClientPool.FlushCheckpoints over
@@ -288,20 +283,6 @@ func (cc *ClusterClient) Snapshot() (monitor.Snapshot, error) {
 		merged = append(merged, m.Snapshot)
 	}
 	return monitor.MergeSnapshots(merged...), nil
-}
-
-// LastDrift fetches the most recent drift report for a stream from the
-// member that owns it (see Client.LastDrift). Taken under the stream's
-// migration gate so a concurrent Migrate cannot answer from the wrong node.
-func (cc *ClusterClient) LastDrift(streamID string) (monitor.DriftReport, bool, error) {
-	g := cc.gate(streamID)
-	g.RLock()
-	defer g.RUnlock()
-	p, _, err := cc.route(streamID)
-	if err != nil {
-		return monitor.DriftReport{}, false, err
-	}
-	return p.LastDrift(streamID)
 }
 
 // Latency merges the client-observed RTT histograms across every member

@@ -163,8 +163,8 @@ func TestClusterMigrationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range obs {
-		if err := cm.Ingest("sensor-42", o); err != nil {
+	for i := range obs {
+		if err := cm.IngestBatch("sensor-42", obs[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ import (
 // is still blocked inside the monitor's enqueue waits (on the table's
 // condition variable) for the owner's settle instead of racing it. Without
 // the in-flight marker the reconnect-under-stall scenario double-ingests:
-// the old connection's handler sits in Monitor.Ingest (it commits only
+// the old connection's handler sits in Monitor.IngestBatch (it commits only
 // after the blocking enqueue returns) while the client's resend on the new
 // connection passes the committed-check and ingests the same observations
 // again. The marker is a plain token in a map — no per-claim allocation, so

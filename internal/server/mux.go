@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"rbmim/internal/codec"
 	"rbmim/internal/detectors"
 	"rbmim/internal/monitor"
 	"rbmim/internal/telemetry"
@@ -130,13 +131,8 @@ func (p *ClientPool) failedOver(c *Client, streamID string, err error) (*Client,
 // the request is resent on the stream's re-homed connection with its
 // original sequence number — exactly once either way.
 func (p *ClientPool) Ingest(streamID string, o detectors.Observation) error {
-	seq := p.seqs.next(streamID)
-	c := p.conn(streamID)
-	err := c.ingestSeq(streamID, o, seq)
-	if next, ok := p.failedOver(c, streamID, err); ok {
-		err = next.ingestSeq(streamID, o, seq)
-	}
-	return err
+	one := [1]detectors.Observation{o}
+	return p.ingest(codec.KindWireIngest, streamID, one[:])
 }
 
 // IngestAsync routes one observation over the stream's connection without
@@ -149,11 +145,17 @@ func (p *ClientPool) IngestAsync(streamID string, o detectors.Observation) (Pend
 // IngestBatch routes a block over the stream's connection and waits for the
 // ack (see Client.IngestBatch), failing over like Ingest.
 func (p *ClientPool) IngestBatch(streamID string, obs []detectors.Observation) error {
+	return p.ingest(codec.KindWireIngestBatch, streamID, obs)
+}
+
+// ingest is the synchronous ingest with failover behind Ingest and
+// IngestBatch.
+func (p *ClientPool) ingest(kind uint8, streamID string, obs []detectors.Observation) error {
 	seq := p.seqs.next(streamID)
 	c := p.conn(streamID)
-	err := c.ingestBatchSeq(streamID, obs, seq)
+	err := c.ingestSeq(kind, streamID, obs, seq)
 	if next, ok := p.failedOver(c, streamID, err); ok {
-		err = next.ingestBatchSeq(streamID, obs, seq)
+		err = next.ingestSeq(kind, streamID, obs, seq)
 	}
 	return err
 }

@@ -83,10 +83,6 @@ func TestServerKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range ref.Events() {
-		}
-	}()
 	for _, ws := range workload {
 		for i := 0; i < n; i += batch {
 			if err := ref.IngestBatch(ws.id, ws.obs[i:i+batch]); err != nil {

@@ -66,8 +66,7 @@ type Config struct {
 	// (telemetry.Full) times every request's service time (decode through
 	// reply buffering) into per-kind serve_* latency histograms, exposed on
 	// Snapshot replies and /metrics alongside the monitor's own stages;
-	// telemetry.Basic keeps the serve_* stages too (they are the
-	// wire-visible ones); telemetry.Off removes all server-side timing.
+	// telemetry.Off removes all server-side timing.
 	// Telemetry never changes replies or drift decisions.
 	Telemetry telemetry.Level
 	// ShedHighWater, in (0, 1], enables overload shedding: a blocking
@@ -363,9 +362,8 @@ type connHandler struct {
 	rd   codec.Reader
 	out  *codec.Buffer // coalesced reply frames awaiting one socket write
 	outN int           // reply frames currently buffered in out
-	json []byte        // snapshot JSON scratch
 
-	// Pooled batch-decode slabs: slabObs views slabF exactly like the
+	// Pooled ingest-decode slabs: slabObs views slabF exactly like the
 	// monitor's internal batchBuf, and both are reusable the moment
 	// IngestBatch returns (the monitor copies).
 	slabObs []detectors.Observation
@@ -464,15 +462,12 @@ func (h *connHandler) serve(kind uint8, payload []byte) bool {
 	maxUint64(&h.s.inflightHW, uint64(h.outN)+1)
 	m := h.s.cfg.Monitor
 	switch kind {
-	case codec.KindWireIngest:
+	case codec.KindWireIngest, codec.KindWireIngestBatch, codec.KindWireTryIngestBatch:
+		// One path for all three ingest kinds: a single observation is a
+		// block of one, and only the payload decode differs.
 		session, seq := h.rd.U64(), h.rd.U64()
-		sid, ok := h.streamID()
+		sid, obs, ok := h.decodeIngest(kind)
 		if !ok {
-			return h.replyErr(id, "bad ingest payload")
-		}
-		var o detectors.Observation
-		h.slabF, o = decodeObs(&h.rd, h.growSlab(h.rd.Remaining()))
-		if h.rd.Done() != nil {
 			return h.replyErr(id, "bad ingest payload")
 		}
 		// Claim before shed: a duplicate of an already-committed request
@@ -484,56 +479,25 @@ func (h *connHandler) serve(kind uint8, payload []byte) bool {
 		case claimAged:
 			return h.replyErr(id, errSeqAged)
 		}
-		if h.shed(sid) {
-			h.settle(session, sid, seq, token, false)
+		// Shed, a full queue under TryIngestBatch, and an error all leave
+		// the seq uncommitted (fresh for a retry).
+		var accepted bool
+		var err error
+		switch {
+		case h.shed(sid):
+		case kind == codec.KindWireTryIngestBatch:
+			accepted, err = m.TryIngestBatch(sid, obs)
+		default:
+			err = m.IngestBatch(sid, obs)
+			accepted = err == nil
+		}
+		h.settle(session, sid, seq, token, accepted)
+		switch {
+		case err != nil:
+			return h.replyErr(id, err.Error())
+		case !accepted:
 			return h.reply(id, codec.KindWireBusy)
 		}
-		if err := m.Ingest(sid, o); err != nil {
-			h.settle(session, sid, seq, token, false)
-			return h.replyErr(id, err.Error())
-		}
-		h.settle(session, sid, seq, token, true)
-		return h.reply(id, codec.KindWireOK)
-
-	case codec.KindWireIngestBatch, codec.KindWireTryIngestBatch:
-		session, seq := h.rd.U64(), h.rd.U64()
-		sid, obs, ok := h.decodeBatch()
-		if !ok {
-			return h.replyErr(id, "bad batch payload")
-		}
-		state, token := h.claim(session, sid, seq)
-		switch state {
-		case claimApplied:
-			return h.reply(id, codec.KindWireOK)
-		case claimAged:
-			return h.replyErr(id, errSeqAged)
-		}
-		if kind == codec.KindWireTryIngestBatch {
-			if h.shed(sid) {
-				h.settle(session, sid, seq, token, false)
-				return h.reply(id, codec.KindWireBusy)
-			}
-			accepted, err := m.TryIngestBatch(sid, obs)
-			if err != nil {
-				h.settle(session, sid, seq, token, false)
-				return h.replyErr(id, err.Error())
-			}
-			if !accepted {
-				h.settle(session, sid, seq, token, false)
-				return h.reply(id, codec.KindWireBusy)
-			}
-			h.settle(session, sid, seq, token, true)
-			return h.reply(id, codec.KindWireOK)
-		}
-		if h.shed(sid) {
-			h.settle(session, sid, seq, token, false)
-			return h.reply(id, codec.KindWireBusy)
-		}
-		if err := m.IngestBatch(sid, obs); err != nil {
-			h.settle(session, sid, seq, token, false)
-			return h.replyErr(id, err.Error())
-		}
-		h.settle(session, sid, seq, token, true)
 		return h.reply(id, codec.KindWireOK)
 
 	case codec.KindWireSubscribe:
@@ -565,11 +529,15 @@ func (h *connHandler) serve(kind uint8, payload []byte) bool {
 		if h.rd.Done() != nil {
 			return h.replyErr(id, "bad snapshot payload")
 		}
-		h.json = h.s.wireSnapshot().AppendJSON(h.json[:0])
+		// Cold path (operator query): the JSON allocation is fine here.
+		data, err := json.Marshal(h.s.wireSnapshot())
+		if err != nil {
+			return h.replyErr(id, err.Error())
+		}
 		mark := h.out.BeginFrame(codec.KindWireSnapshot)
 		h.out.U64(id)
-		h.out.U32(uint32(len(h.json)))
-		h.out.Write(h.json)
+		h.out.U32(uint32(len(data)))
+		h.out.Write(data)
 		return h.endReply(mark)
 
 	case codec.KindWireEvict:
@@ -746,14 +714,18 @@ func (h *connHandler) growSlab(payloadBytes int) []float64 {
 	return h.slabF[:0]
 }
 
-// decodeBatch decodes an IngestBatch/TryIngestBatch payload into the
-// connection's pooled slabs.
-func (h *connHandler) decodeBatch() (string, []detectors.Observation, bool) {
+// decodeIngest decodes the stream ID and observations of an ingest payload
+// into the connection's pooled slabs: one observation for KindWireIngest, a
+// counted block for the batch kinds.
+func (h *connHandler) decodeIngest(kind uint8) (string, []detectors.Observation, bool) {
 	sid, ok := h.streamID()
 	if !ok {
 		return "", nil, false
 	}
-	n := int(h.rd.U32())
+	n := 1
+	if kind != codec.KindWireIngest {
+		n = int(h.rd.U32())
+	}
 	if h.rd.Err() != nil || n*minObsBytes > h.rd.Remaining() {
 		return "", nil, false
 	}

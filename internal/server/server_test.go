@@ -415,7 +415,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if _, err := Dial(srv.Addr()); err == nil {
 		t.Fatal("Dial succeeded after server Close")
 	}
-	if err := m.Ingest("s", testObs(4, 1)[0]); err != nil {
+	if err := m.IngestBatch("s", testObs(4, 1)); err != nil {
 		t.Fatalf("monitor must outlive the server: %v", err)
 	}
 }
@@ -454,6 +454,74 @@ func TestServerHTTPSidecar(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestServerEventDropCountsStayZero: a server whose one subscriber drains
+// every drift reports no dropped events anywhere. The subscriber receives
+// exactly the drifts the snapshot counts, in order, and every
+// rbmim_*dropped_total series on /metrics reads 0 — no event path that no
+// server reads may count drops of its own.
+func TestServerEventDropCountsStayZero(t *testing.T) {
+	const drifts, every, block = 1024, 10, 256
+	srv, _, c := newTestServer(t, monitor.Config{
+		Shards: 2,
+		NewDetector: func(string) (detectors.Detector, error) {
+			return &wireDriftEveryN{n: every, class: 1}, nil
+		},
+	}, Config{HTTPAddr: "127.0.0.1:0"})
+	// A queue that holds every drift keeps the subscriber lossless however
+	// the pump is scheduled.
+	sub, err := c.Subscribe(2 * drifts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	obs := testObs(4, block)
+	for sent := 0; sent < drifts*every; sent += block {
+		if err := c.IngestBatch("drifty", obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.FlushCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Drifts != drifts {
+		t.Fatalf("Snapshot.Drifts = %d, want %d", sn.Drifts, drifts)
+	}
+	for got := uint64(0); got < sn.Drifts; got++ {
+		select {
+		case ev := <-sub.Events():
+			if want := (got + 1) * every; ev.Seq != want {
+				t.Fatalf("event %d has seq %d, want %d", got, ev.Seq, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("subscriber received %d of %d drift events", got, sn.Drifts)
+		}
+	}
+	resp, err := http.Get("http://" + srv.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	series := 0
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "rbmim_") || !strings.HasSuffix(name, "dropped_total") {
+			continue
+		}
+		series++
+		if value != "0" {
+			t.Errorf("%s = %s, want 0", name, value)
+		}
+	}
+	if series == 0 {
+		t.Fatalf("/metrics has no rbmim_*dropped_total series:\n%s", body)
 	}
 }
 
@@ -710,7 +778,7 @@ func TestServerConcurrentDuplicateExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two raw connections send the same (session, stream, seq). The first
-	// handler blocks inside Monitor.Ingest (full ring) before it can commit;
+	// handler blocks inside Monitor.IngestBatch (full ring) before it can commit;
 	// the duplicate must not ingest concurrently.
 	ingestFrame := func() []byte {
 		b := codec.NewBuffer(nil)

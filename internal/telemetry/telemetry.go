@@ -61,38 +61,29 @@ const (
 	// Full instruments every stage: wire service time, client RTT, shard
 	// queue-wait, detector update, and checkpoint save/put.
 	Full Level = iota
-	// Basic instruments only the wire-visible stages (server service time,
-	// client RTT), skipping the per-envelope and per-flush monitor stages.
-	Basic
-	// Off disables all timing. Detection output is bit-identical at every
-	// level — telemetry only ever reads the clock and already-computed
+	// Off disables all timing. Detection output is bit-identical at both
+	// levels — telemetry only ever reads the clock and already-computed
 	// values — so Off exists for measuring the instrumentation itself.
 	Off
 )
 
-// ParseLevel parses the -telemetry flag values "full", "basic", "off".
+// ParseLevel parses the -telemetry flag values "full" and "off".
 func ParseLevel(s string) (Level, error) {
 	switch s {
 	case "full", "":
 		return Full, nil
-	case "basic":
-		return Basic, nil
 	case "off":
 		return Off, nil
 	}
-	return Full, fmt.Errorf("telemetry: unknown level %q (want full, basic, or off)", s)
+	return Full, fmt.Errorf("telemetry: unknown level %q (want full or off)", s)
 }
 
 // String returns the flag spelling of l.
 func (l Level) String() string {
-	switch l {
-	case Basic:
-		return "basic"
-	case Off:
+	if l == Off {
 		return "off"
-	default:
-		return "full"
 	}
+	return "full"
 }
 
 // Histogram is a fixed-bucket log2 latency histogram safe for concurrent

@@ -194,16 +194,18 @@ func TestObserveAllocsAndParallel(t *testing.T) {
 }
 
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{"": Full, "full": Full, "basic": Basic, "off": Off} {
+	for s, want := range map[string]Level{"": Full, "full": Full, "off": Off} {
 		got, err := ParseLevel(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseLevel(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseLevel("bogus"); err == nil {
-		t.Fatal("ParseLevel accepted bogus")
+	for _, bad := range []string{"bogus", "basic"} {
+		if _, err := ParseLevel(bad); err == nil {
+			t.Fatalf("ParseLevel accepted %q", bad)
+		}
 	}
-	if Full.String() != "full" || Basic.String() != "basic" || Off.String() != "off" {
+	if Full.String() != "full" || Off.String() != "off" {
 		t.Fatal("Level.String mismatch")
 	}
 }

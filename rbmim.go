@@ -267,12 +267,11 @@ type (
 
 // Telemetry levels.
 const (
-	TelemetryFull  = telemetry.Full
-	TelemetryBasic = telemetry.Basic
-	TelemetryOff   = telemetry.Off
+	TelemetryFull = telemetry.Full
+	TelemetryOff  = telemetry.Off
 )
 
-// ParseTelemetryLevel parses "full" (or ""), "basic", or "off".
+// ParseTelemetryLevel parses "full" (or "") or "off".
 func ParseTelemetryLevel(s string) (TelemetryLevel, error) { return telemetry.ParseLevel(s) }
 
 // MergeTelemetryStages folds per-process stage sets into one: histograms
@@ -297,11 +296,12 @@ func NewFSStore(dir string) (*FSStore, error) { return monitor.NewFSStore(dir) }
 var ErrMonitorClosed = monitor.ErrClosed
 
 // NewMonitor builds and starts a sharded multi-stream drift monitor. Streams
-// are created lazily on first Ingest, placed on shards by consistent hashing
+// are created lazily on first ingest, placed on shards by consistent hashing
 // of the stream ID, and evicted explicitly or after MonitorConfig.IdleTTL of
-// inactivity. Producers holding blocks of observations should prefer
-// Monitor.IngestBatch: a block travels the shard queue as one slab-copied
-// envelope and reaches the stream's detector in one batched update.
+// inactivity. Monitor.IngestBatch and Monitor.TryIngestBatch are the ingest
+// verbs (a single observation is a block of one): a block travels the shard
+// queue as one slab-copied envelope and reaches the stream's detector in one
+// batched update. Drift events arrive through Monitor.Subscribe.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return monitor.New(cfg) }
 
 // Network serving layer re-exports: a Monitor served over TCP with a
